@@ -62,7 +62,6 @@ class SceneSpec:
 
     target: VirtualSource
     noises: tuple
-    nominal_input_snr: float = 0.0
 
 
 @dataclass
@@ -183,19 +182,6 @@ def _render_any(method, bank, source, hrir_set, pose, channels):
     if method is None:
         return render_reference(source, hrir_set, pose, channels)
     return render_source(method, bank, source)
-
-
-def mix_scene(scene: SceneSpec, method: ReproductionMethod | None,
-              array: SpeakerArray, hrir_set: HrirSet, pose: ListenerPose,
-              channels: tuple) -> RenderOutput:
-    """Render a scene to separated stems with calibrated input SNR.
-
-    `method=None` renders the free-field reference condition. Noise stems are
-    scaled so the broadband target-to-noise power ratio at the left in-ear
-    channel equals `scene.nominal_input_snr` dB.
-    """
-    stems = render_scene_stems(scene, method, array, hrir_set, pose, channels)
-    return calibrate_stems(stems, scene.nominal_input_snr)
 
 
 def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,

@@ -36,9 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="built-in configuration preset")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; results are identical "
-                        "for any value")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("contour", help="extract a criterion contour from a "

@@ -1,9 +1,10 @@
-"""Shared signal-processing primitives: fractional delay, convolution, band power."""
+"""Shared signal-processing primitives: fractional delay, one-pole smoothing,
+the ERB frequency scale."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 
 FRACTIONAL_DELAY_TAPS = 64
 
@@ -49,24 +50,29 @@ def delay_signal(x: np.ndarray, delay_samples: float,
     return out
 
 
-def delay_spectrum(freqs: np.ndarray, delay_samples: float,
-                   taps: int = FRACTIONAL_DELAY_TAPS) -> np.ndarray:
-    """Frequency response of the fractional delay filter on a normalized grid.
-
-    `freqs` are in cycles/sample (0 to 0.5 for an rfft grid).
-    """
-    n0, h = fractional_delay_fir(delay_samples, taps)
-    n = n0 + np.arange(taps)
-    return np.exp(-2j * np.pi * np.outer(freqs, n)) @ h
+def one_pole_smooth(x: np.ndarray, tau: float, rate: float,
+                    axis: int = -1) -> np.ndarray:
+    """First-order low-pass y[n] = (1 - a) x[n] + a y[n-1] along `axis`,
+    starting from rest, with a = exp(-1 / (tau * rate)) for a time constant
+    `tau` in seconds and `rate` samples (or frames) per second."""
+    alpha = float(np.exp(-1.0 / (tau * rate)))
+    return lfilter([1.0 - alpha], [1.0, -alpha], x, axis=axis)
 
 
-def rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
+# Equivalent rectangular bandwidth scale (Glasberg & Moore, Hear. Res. 47,
+# 1990).
 
 
-def power_db(x: np.ndarray, floor: float = 1e-30) -> float:
-    return 10.0 * np.log10(max(float(np.mean(np.square(x))), floor))
+def erb_number(f):
+    """ERB number (Cam) of frequency `f` in Hz."""
+    return 21.4 * np.log10(4.37e-3 * np.asarray(f) + 1.0)
 
 
-def next_pow2(n: int) -> int:
-    return 1 << (int(n) - 1).bit_length()
+def erb_to_hz(e):
+    """Frequency in Hz of ERB number `e`; inverse of erb_number."""
+    return (10.0 ** (np.asarray(e) / 21.4) - 1.0) / 4.37e-3
+
+
+def erb_bandwidth(f):
+    """Equivalent rectangular bandwidth in Hz of the auditory filter at `f`."""
+    return 24.7 * (4.37e-3 * f + 1.0)

@@ -12,12 +12,13 @@ target + processed noise equals the processed mixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ive
 
 from .binsim import AudioBuffer, RenderOutput
+from .dsp import one_pole_smooth
 from .hrir import (CHANNELS_ADM, CHANNELS_BEAMFORMER, CHANNELS_BINAURAL_NR,
                    CHANNELS_SINGLE_NR, HrirSet)
 from .panner import SPEED_OF_SOUND
@@ -96,11 +97,6 @@ class SpectralGainAlgorithm:
             out.append(AudioBuffer(
                 rate, self.stft.synthesize(self._apply(op, spec), n)))
         return ShadowOutput(*out)
-
-
-def shadow_filter(algorithm: SpectralGainAlgorithm,
-                  stems: RenderOutput) -> ShadowOutput:
-    return algorithm.shadow(stems)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +213,9 @@ class MvdrBeamformer(SpectralGainAlgorithm):
         noise_est = (np.mean(np.abs(blocked) ** 2, axis=0)
                      * self.design.post_scale[None, :])
 
-        alpha = np.exp(-1.0 / (self.stft.frame_rate * self.smoothing_time))
-        p_y = _one_pole(np.abs(y) ** 2, alpha)
-        p_n = _one_pole(noise_est, alpha)
+        rate = self.stft.frame_rate
+        p_y = one_pole_smooth(np.abs(y) ** 2, self.smoothing_time, rate, axis=0)
+        p_n = one_pole_smooth(noise_est, self.smoothing_time, rate, axis=0)
         snr = np.maximum(p_y - p_n, 0.0) / np.maximum(p_n, 1e-30)
         gain = snr / (1.0 + snr)
         return np.maximum(gain, self.gain_floor)
@@ -361,8 +357,8 @@ class CoherenceNoiseReduction(SpectralGainAlgorithm):
         cross = mix_spec[0] * np.conj(mix_spec[1])
         mag = np.abs(cross)
         ipd_vec = np.where(mag > 0.0, cross / np.maximum(mag, 1e-300), 1.0)
-        alpha = np.exp(-1.0 / (self.stft.frame_rate * self.time_constant))
-        smoothed = _one_pole(ipd_vec, alpha)
+        smoothed = one_pole_smooth(ipd_vec, self.time_constant,
+                                   self.stft.frame_rate, axis=0)
         gamma = np.minimum(np.abs(smoothed), 1.0)
         return gamma ** self.beta[None, :]
 
@@ -447,12 +443,3 @@ def _stsa_gain(xi: np.ndarray, post: np.ndarray) -> np.ndarray:
     gain[~small] = (xi / (1.0 + xi))[~small]
     return gain
 
-
-def _one_pole(x: np.ndarray, alpha: float) -> np.ndarray:
-    """First-order IIR low-pass along the frame axis (axis 0)."""
-    out = np.empty_like(x)
-    acc = np.zeros_like(x[0])
-    for t in range(x.shape[0]):
-        acc = alpha * acc + (1.0 - alpha) * x[t]
-        out[t] = acc
-    return out

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .binsim import (ReceiverBank, RenderOutput, VirtualSource,
-                     render_reference, render_scene_stems, render_source,
-                     select_channels)
+from .binsim import (ReceiverBank, VirtualSource, render_reference,
+                     render_scene_stems, render_source, select_channels)
 from .geometry import ListenerPose, Position2D, build_array
 from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      MvdrBeamformer, MvdrCoreBeamformer,
@@ -25,8 +24,7 @@ from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
 from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
                    DEFAULT_HEAD_RADIUS, HrirSet, load_hrir_set,
                    synth_sphere_hrir)
-from .localization import (PLE_TARGET_AZIMUTHS, build_cue_lookup, localize,
-                           _rms_ignore_nan)
+from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
 from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, beam_error, beam_pattern,
                       make_third_octave_grid, snr_error, snr_improvement,
                       spectral_distance)
@@ -56,7 +54,6 @@ class SweepConfig:
     pattern_probe_duration: float = 1.0
     band_min: float = 100.0
     band_max: float = 8000.0
-    beam_error_normalized: bool = False
     seed: int = 20150842
     hrir_source: str = "sphere"         # "sphere" or a saved-set directory
     head_radius: float = DEFAULT_HEAD_RADIUS
@@ -88,15 +85,21 @@ class SweepConfig:
             raise ValueError(f"unknown preset {preset!r}")
         return cls(**known)
 
+    def _fields(self) -> dict:
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
+
     def to_yaml(self) -> str:
-        data = asdict(self)
-        for key, value in data.items():
-            if isinstance(value, tuple):
-                data[key] = list(value)
-        return yaml.safe_dump(data, sort_keys=True)
+        return yaml.safe_dump(self._fields(), sort_keys=True)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_yaml().encode()).hexdigest()[:16]
+        """Hash of the fields that decide the results. The output directory
+        only says where they are written, so the same sweep written to two
+        places gets one hash."""
+        data = self._fields()
+        del data["output_dir"]
+        text = yaml.safe_dump(data, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def band_grid(self) -> BandGrid:
         return make_third_octave_grid(self.band_min, self.band_max)
@@ -141,17 +144,33 @@ class ErrorSurface:
 
 @dataclass
 class PleCell:
-    """Per-direction perceived location errors of one (method, N, pose)
-    cell: test estimate minus free-field estimate in degrees, one per
-    PLE_TARGET_AZIMUTHS entry, NaN where either rendering gave no
-    fine-structure estimate. The PLE surface value is the RMS over the
-    finite entries; `dropped` counts the NaN entries it leaves out."""
+    """Perceived location error (PLE) of one (method, N, pose) cell.
+
+    `errors` holds one entry per target direction: the test rendering's
+    fine-structure azimuth estimate minus the free-field rendering's, in
+    degrees, NaN where either rendering gave no estimate. The PLE is the
+    RMS over the finite entries (`value`); `dropped` counts the NaN entries
+    it leaves out.
+    """
 
     errors: np.ndarray
+
+    @classmethod
+    def from_estimates(cls, test, reference) -> "PleCell":
+        """From per-direction azimuth estimates, None where there is none."""
+        return cls(np.array([np.nan if t is None or r is None else t - r
+                             for t, r in zip(test, reference)]))
 
     @property
     def dropped(self) -> int:
         return int(np.sum(~np.isfinite(self.errors)))
+
+    @property
+    def value(self) -> float:
+        good = np.isfinite(self.errors)
+        if not good.any():
+            return float("nan")
+        return float(np.sqrt(np.mean(np.square(self.errors[good]))))
 
 
 @dataclass
@@ -228,7 +247,7 @@ class _PoseContext:
                                          seed=config.seed + 1)
         if "ple" in config.metrics or "spectral" in config.metrics:
             self.ref_renders = {}
-            self.ref_doas = {}
+            self.ref_doas = []
             for az in PLE_TARGET_AZIMUTHS:
                 src = VirtualSource(self.probe,
                                     Position2D.from_polar(az, config.array_radius))
@@ -236,8 +255,7 @@ class _PoseContext:
                                        CHANNELS_LOCALIZATION)
                 self.ref_renders[az] = buf
                 if "ple" in config.metrics:
-                    est = localize(buf, lookup)
-                    self.ref_doas[az] = est.fine_azimuth
+                    self.ref_doas.append(localize(buf, lookup).fine_azimuth)
 
 
 def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
@@ -254,8 +272,8 @@ def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
                            ctx.pose, ctx.grid,
                            probe_duration=config.pattern_probe_duration,
                            seed=config.seed)
-        out["beam"] = beam_error(ctx.ref_pattern, pat,
-                                 normalized=config.beam_error_normalized)
+        # The published 5.7 dB criterion refers to the root-sum-of-squares.
+        out["beam"] = beam_error(ctx.ref_pattern, pat, normalized=False)
     if "snr" in config.metrics:
         stems = render_scene_stems(ctx.scene, method, array, hrir_set,
                                    ctx.pose, _UNION_CHANNELS)
@@ -266,26 +284,21 @@ def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
             out[("snr", name)] = snr_error(ctx.ref_sweeps[name], sweep)
     if "ple" in config.metrics or "spectral" in config.metrics:
         bank = ReceiverBank(array, hrir_set, ctx.pose, CHANNELS_LOCALIZATION)
-        doa_err = []
+        test_doas = []
         distances = []
         for az in PLE_TARGET_AZIMUTHS:
             src = VirtualSource(ctx.probe,
                                 Position2D.from_polar(az, config.array_radius))
             buf = render_source(method, bank, src)
             if "ple" in config.metrics:
-                est = localize(buf, ctx.lookup)
-                ref_doa = ctx.ref_doas[az]
-                if est.fine_azimuth is None or ref_doa is None:
-                    doa_err.append(np.nan)
-                else:
-                    doa_err.append(est.fine_azimuth - ref_doa)
+                test_doas.append(localize(buf, ctx.lookup).fine_azimuth)
             if "spectral" in config.metrics:
                 ref_buf = ctx.ref_renders[az]
                 distances.append(spectral_distance(
                     ref_buf.samples[0], buf.samples[0], buf.sample_rate))
         if "ple" in config.metrics:
-            ple = PleCell(errors=np.asarray(doa_err))
-            out["ple"] = _rms_ignore_nan(ple.errors)
+            ple = PleCell.from_estimates(test_doas, ctx.ref_doas)
+            out["ple"] = ple.value
         if "spectral" in config.metrics:
             out["spectral"] = float(np.mean(distances))
     return out, ple

@@ -1,8 +1,8 @@
 """Binaural localization model: interaural statistics in gammatone bands,
 coherence-gated glimpses, and a self-calibrated cue-to-azimuth lookup.
 
-The model estimates source direction separately from fine-structure cues
-(low bands) and envelope cues (high bands). The cue-to-azimuth mapping is
+The model estimates source direction from fine-structure cues in 12
+gammatone bands between 236 and 1296 Hz. The cue-to-azimuth mapping is
 built by probing the same receiver model under free-field conditions, so it
 never assumes an analytic head geometry.
 """
@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert, lfilter
+from scipy.signal import lfilter
 
 from .binsim import AudioBuffer, render_reference, VirtualSource
+from .dsp import erb_bandwidth, erb_number, erb_to_hz, one_pole_smooth
 from .geometry import ListenerPose, Position2D
 from .hrir import CHANNELS_LOCALIZATION, HrirSet
 from .signals import speech_shaped_noise
@@ -22,8 +23,6 @@ from .signals import speech_shaped_noise
 FINE_BAND_LO_HZ = 236.0
 FINE_BAND_HI_HZ = 1296.0
 FINE_BAND_COUNT = 12
-ENV_BAND_HI_HZ = 4000.0
-ENV_BAND_COUNT = 8
 
 COHERENCE_THRESHOLD = 0.98
 COHERENCE_TAU = 0.005          # seconds, interaural statistic smoothing
@@ -31,27 +30,15 @@ LOOKUP_AZIMUTHS = np.arange(-90.0, 90.1, 5.0)
 PLE_TARGET_AZIMUTHS = np.arange(-75.0, 75.1, 5.0)
 
 
-def _erb_hz(f: float) -> float:
-    return 24.7 * (4.37e-3 * f + 1.0)
-
-
-def _erb_number(f):
-    return 21.4 * np.log10(4.37e-3 * np.asarray(f) + 1.0)
-
-
-def _erb_to_hz(e):
-    return (10.0 ** (np.asarray(e) / 21.4) - 1.0) / 4.37e-3
-
-
 def gammatone_centers(f_lo: float, f_hi: float, count: int) -> np.ndarray:
     """ERB-number-equidistant center frequencies spanning [f_lo, f_hi]."""
-    return _erb_to_hz(np.linspace(_erb_number(f_lo), _erb_number(f_hi), count))
+    return erb_to_hz(np.linspace(erb_number(f_lo), erb_number(f_hi), count))
 
 
 def gammatone_band(x: np.ndarray, fc: float, sample_rate: int) -> np.ndarray:
     """Complex-valued 4th-order gammatone subband (cascade of one-pole
     complex resonators at the band center)."""
-    b = 1.019 * _erb_hz(fc)
+    b = 1.019 * erb_bandwidth(fc)
     pole = np.exp(-2.0 * np.pi * b / sample_rate
                   + 2.0j * np.pi * fc / sample_rate)
     y = np.asarray(x, dtype=complex)
@@ -71,28 +58,17 @@ class BandCues:
     ild_db: np.ndarray          # level difference (L - R) per glimpse
 
 
-@dataclass
-class LocalizationCues:
-    fine: list                  # list[BandCues]
-    envelope: list              # list[BandCues]
-
-
-def _one_pole_smooth(x: np.ndarray, tau: float, sample_rate: int) -> np.ndarray:
-    alpha = float(np.exp(-1.0 / (tau * sample_rate)))
-    return lfilter([1.0 - alpha], [1.0, -alpha], x, axis=-1)
-
-
 def _band_statistics(yl: np.ndarray, yr: np.ndarray,
                      sample_rate: int) -> tuple:
     """Smoothed interaural vector strength, phase statistic, and ILD."""
     cross = yl * np.conj(yr)
     mag = np.abs(cross)
     unit = np.where(mag > 0.0, cross / np.maximum(mag, 1e-30), 0.0)
-    vs = _one_pole_smooth(unit, COHERENCE_TAU, sample_rate)
+    vs = one_pole_smooth(unit, COHERENCE_TAU, sample_rate)
     coherence = np.abs(vs)
-    phase = np.angle(_one_pole_smooth(cross, COHERENCE_TAU, sample_rate))
-    pl = _one_pole_smooth(np.abs(yl) ** 2, COHERENCE_TAU, sample_rate)
-    pr = _one_pole_smooth(np.abs(yr) ** 2, COHERENCE_TAU, sample_rate)
+    phase = np.angle(one_pole_smooth(cross, COHERENCE_TAU, sample_rate))
+    pl = one_pole_smooth(np.abs(yl) ** 2, COHERENCE_TAU, sample_rate)
+    pr = one_pole_smooth(np.abs(yr) ** 2, COHERENCE_TAU, sample_rate)
     with np.errstate(divide="ignore", invalid="ignore"):
         ild = 10.0 * np.log10(pl / pr)
     ild[~np.isfinite(ild)] = 0.0
@@ -107,55 +83,25 @@ def _glimpse_mask(coherence: np.ndarray) -> np.ndarray:
     return (coherence > COHERENCE_THRESHOLD) & rising
 
 
-def extract_cues(buffer: AudioBuffer) -> LocalizationCues:
-    """Interaural cues at glimpses, per fine-structure and envelope band.
+def extract_cues(buffer: AudioBuffer) -> list:
+    """Interaural fine-structure cues at glimpses, one BandCues per band.
 
-    Fine bands use the subband fine-structure phase; envelope bands use the
-    phase of the analytic subband envelope. Bands without any glimpse carry
-    empty cue arrays.
+    Bands without any glimpse carry empty cue arrays.
     """
     if buffer.channels != 2:
         raise ValueError("localization input must be the two in-ear channels")
     left, right = buffer.samples
     rate = buffer.sample_rate
 
-    fine = []
+    bands = []
     for fc in gammatone_centers(FINE_BAND_LO_HZ, FINE_BAND_HI_HZ,
                                 FINE_BAND_COUNT):
         yl = gammatone_band(left, fc, rate)
         yr = gammatone_band(right, fc, rate)
         coh, phase, ild = _band_statistics(yl, yr, rate)
         mask = _glimpse_mask(coh)
-        fine.append(BandCues(fc, phase[mask], ild[mask]))
-
-    envelope = []
-    for fc in gammatone_centers(FINE_BAND_HI_HZ, ENV_BAND_HI_HZ,
-                                ENV_BAND_COUNT):
-        el = np.abs(gammatone_band(left, fc, rate))
-        er = np.abs(gammatone_band(right, fc, rate))
-        al = hilbert(el - el.mean())
-        ar = hilbert(er - er.mean())
-        coh, phase, _ = _band_statistics(al, ar, rate)
-        # Convert the modulation phase difference to a time difference using
-        # the instantaneous modulation frequency, so the statistic does not
-        # depend on the stimulus' modulation content.
-        inst = np.empty(len(al))
-        dphi = np.diff(np.unwrap(np.angle(al)))
-        inst[1:] = dphi * rate / (2.0 * np.pi)
-        inst[0] = inst[1] if len(inst) > 1 else 0.0
-        inst = _one_pole_smooth(inst, COHERENCE_TAU, rate)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            itd = phase / (2.0 * np.pi * inst)
-        valid = np.isfinite(itd) & (inst > 2.0)
-        # ILD is carried by the envelope magnitudes, not the modulation.
-        pl = _one_pole_smooth(el ** 2, COHERENCE_TAU, rate)
-        pr = _one_pole_smooth(er ** 2, COHERENCE_TAU, rate)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ild = 10.0 * np.log10(pl / pr)
-        ild[~np.isfinite(ild)] = 0.0
-        mask = _glimpse_mask(coh) & valid
-        envelope.append(BandCues(fc, itd[mask], ild[mask]))
-    return LocalizationCues(fine=fine, envelope=envelope)
+        bands.append(BandCues(fc, phase[mask], ild[mask]))
+    return bands
 
 
 @dataclass
@@ -164,7 +110,6 @@ class CueLookup:
 
     azimuths: np.ndarray
     fine_tables: np.ndarray     # (n_fine_bands, n_azimuths)
-    envelope_tables: np.ndarray
 
 
 def _median_statistic(band: BandCues) -> float:
@@ -185,15 +130,12 @@ def build_cue_lookup(hrir_set: HrirSet, pose: ListenerPose | None = None,
         source_distance = hrir_set.distance
     probe = speech_shaped_noise(probe_duration, hrir_set.sample_rate, seed=seed)
     fine = np.empty((FINE_BAND_COUNT, len(azimuths)))
-    env = np.empty((ENV_BAND_COUNT, len(azimuths)))
     for i, az in enumerate(azimuths):
         src = VirtualSource(probe, Position2D.from_polar(az, source_distance))
         rendered = render_reference(src, hrir_set, pose, CHANNELS_LOCALIZATION)
-        cues = extract_cues(rendered)
-        fine[:, i] = [_median_statistic(b) for b in cues.fine]
-        env[:, i] = [_median_statistic(b) for b in cues.envelope]
+        fine[:, i] = [_median_statistic(b) for b in extract_cues(rendered)]
     return CueLookup(azimuths=np.asarray(azimuths, dtype=float),
-                     fine_tables=fine, envelope_tables=env)
+                     fine_tables=fine)
 
 
 def _invert_table(table: np.ndarray, azimuths: np.ndarray,
@@ -215,20 +157,24 @@ def _invert_table(table: np.ndarray, azimuths: np.ndarray,
 @dataclass
 class LocalizationEstimate:
     fine_azimuth: float | None
-    envelope_azimuth: float | None
     fine_glimpses: int
-    envelope_glimpses: int
 
 
-def _estimate_from_bands(bands: list, tables: np.ndarray,
-                         azimuths: np.ndarray) -> tuple:
+def localize(buffer: AudioBuffer, lookup: CueLookup) -> LocalizationEstimate:
+    """Direction estimate from fine-structure cues: the median of the band
+    votes.
+
+    `fine_azimuth` is None when no band produced a usable glimpse, rather
+    than defaulting to any direction.
+    """
     votes = []
     glimpses = 0
-    for band, table in zip(bands, tables):
+    for band, table in zip(extract_cues(buffer), lookup.fine_tables):
         glimpses += len(band.statistic)
         if len(band.statistic) == 0:
             continue
-        az = _invert_table(table, azimuths, float(np.median(band.statistic)))
+        az = _invert_table(table, lookup.azimuths,
+                           float(np.median(band.statistic)))
         if not np.isfinite(az):
             continue
         # Resolve front/back-symmetric phase ambiguity with the ILD sign:
@@ -237,69 +183,6 @@ def _estimate_from_bands(bands: list, tables: np.ndarray,
         if abs(ild) > 1.0 and np.sign(ild) != np.sign(az) and az != 0.0:
             az = -az
         votes.append(az)
-    if not votes:
-        return None, glimpses
-    return float(np.median(votes)), glimpses
-
-
-def localize(buffer: AudioBuffer, lookup: CueLookup) -> LocalizationEstimate:
-    """Direction estimates from fine-structure and envelope cues.
-
-    Returns None for a cue class when no band produced a glimpse, rather
-    than defaulting to any direction.
-    """
-    cues = extract_cues(buffer)
-    fine_az, fine_n = _estimate_from_bands(cues.fine, lookup.fine_tables,
-                                           lookup.azimuths)
-    env_az, env_n = _estimate_from_bands(cues.envelope,
-                                         lookup.envelope_tables,
-                                         lookup.azimuths)
-    return LocalizationEstimate(fine_azimuth=fine_az, envelope_azimuth=env_az,
-                                fine_glimpses=fine_n, envelope_glimpses=env_n)
-
-
-@dataclass
-class PleResult:
-    """Perceived-location error summary over a span of target directions."""
-
-    target_azimuths: np.ndarray
-    fine_errors: np.ndarray         # deg, nan where no estimate
-    envelope_errors: np.ndarray
-    fine_rms: float
-    envelope_rms: float
-    missing_fine: int
-    missing_envelope: int
-
-
-def _rms_ignore_nan(x: np.ndarray) -> float:
-    good = np.isfinite(x)
-    if not good.any():
-        return float("nan")
-    return float(np.sqrt(np.mean(np.square(x[good]))))
-
-
-def perceived_location_error(render_test, lookup: CueLookup,
-                             target_azimuths: np.ndarray = PLE_TARGET_AZIMUTHS,
-                             ) -> PleResult:
-    """RMS azimuth estimation error across frontal target directions.
-
-    `render_test(azimuth) -> AudioBuffer` renders the condition under test
-    to the two in-ear channels. Reference truth is the nominal azimuth.
-    Directions without glimpses are excluded and counted as missing.
-    """
-    target_azimuths = np.asarray(target_azimuths, dtype=float)
-    fine_err = np.full(len(target_azimuths), np.nan)
-    env_err = np.full(len(target_azimuths), np.nan)
-    for i, az in enumerate(target_azimuths):
-        est = localize(render_test(az), lookup)
-        if est.fine_azimuth is not None:
-            fine_err[i] = est.fine_azimuth - az
-        if est.envelope_azimuth is not None:
-            env_err[i] = est.envelope_azimuth - az
-    return PleResult(
-        target_azimuths=target_azimuths,
-        fine_errors=fine_err, envelope_errors=env_err,
-        fine_rms=_rms_ignore_nan(fine_err),
-        envelope_rms=_rms_ignore_nan(env_err),
-        missing_fine=int(np.sum(~np.isfinite(fine_err))),
-        missing_envelope=int(np.sum(~np.isfinite(env_err))))
+    return LocalizationEstimate(
+        fine_azimuth=float(np.median(votes)) if votes else None,
+        fine_glimpses=glimpses)

@@ -10,6 +10,7 @@ import numpy as np
 from .binsim import (AudioBuffer, RenderOutput, calibrate_stems,
                      render_reference, render_source, ReceiverBank,
                      VirtualSource)
+from .dsp import erb_bandwidth, erb_number, erb_to_hz
 from .geometry import ListenerPose, Position2D, SpeakerArray
 from .hrir import HrirSet
 from .signals import white_noise
@@ -219,19 +220,11 @@ def _erb_excitation(samples: np.ndarray, sample_rate: int,
     psd = np.abs(np.fft.rfft(x)) ** 2 / n ** 2
     psd[1:] *= 2.0
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-
-    def erb_number(f):
-        return 21.4 * np.log10(4.37e-3 * f + 1.0)
-
-    def erb_width(f):
-        return 24.7 * (4.37e-3 * f + 1.0)
-
-    e_lo, e_hi = erb_number(f_lo), erb_number(f_hi)
-    e_centers = np.arange(e_lo, e_hi + 1e-9, step_erb)
-    centers = (10.0 ** (e_centers / 21.4) - 1.0) / 4.37e-3
+    e_centers = np.arange(erb_number(f_lo), erb_number(f_hi) + 1e-9, step_erb)
+    centers = erb_to_hz(e_centers)
     excitation = np.empty(len(centers))
     for i, fc in enumerate(centers):
-        g = np.abs(freqs - fc) / erb_width(fc)
+        g = np.abs(freqs - fc) / erb_bandwidth(fc)
         p = 4.0 * g
         w = (1.0 + p) * np.exp(-p)
         excitation[i] = np.maximum((w * psd).sum(), 1e-30)

@@ -124,21 +124,6 @@ def method_weights(method: ReproductionMethod, array: SpeakerArray,
 
 
 @dataclass(frozen=True)
-class FilterTap:
-    """A single-tap driving filter: gain applied at a (fractional) delay."""
-
-    gain: float
-    delay: float
-
-
-def driving_filters(weights: DrivingWeights) -> list:
-    """Per-speaker single-tap filters: gain w_k * attenuation at the source delay."""
-    return [FilterTap(gain=w * weights.source_attenuation,
-                      delay=weights.source_delay)
-            for w in weights.weights]
-
-
-@dataclass(frozen=True)
 class AliasingPrediction:
     """Spatial-aliasing limit linking frequency, speaker count and radius."""
 

@@ -147,7 +147,6 @@ def cafeteria_noise(duration: float, sample_rate: int,
 
 def make_default_scene(duration: float, sample_rate: int,
                        n_noise: int = 20, seed: int = DEFAULT_SEED,
-                       nominal_input_snr: float = 0.0,
                        target_azimuth: float = 0.0,
                        target_distance: float = 3.0) -> SceneSpec:
     """Frontal speech target plus spatially distributed cafeteria-noise
@@ -166,8 +165,7 @@ def make_default_scene(duration: float, sample_rate: int,
             signal=cafeteria_noise(duration, sample_rate,
                                    seed=rng.integers(1 << 31)),
             position=Position2D.from_polar(az, dist)))
-    return SceneSpec(target=target, noises=tuple(noises),
-                     nominal_input_snr=nominal_input_snr)
+    return SceneSpec(target=target, noises=tuple(noises))
 
 
 def scene_layout(scene: SceneSpec) -> list:

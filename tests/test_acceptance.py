@@ -17,12 +17,12 @@ from spatsim.binsim import (ReceiverBank, VirtualSource, SceneSpec,
                             render_source, select_channels)
 from spatsim.geometry import ListenerPose, Position2D, build_array
 from spatsim.haalgo import MvdrCoreBeamformer
-from spatsim.harness import (ALGORITHM_NAMES, CriterionTable, SweepConfig,
-                             _make_algorithms, aliasing_overlay, run_sweep,
-                             usable_bandwidth, write_surfaces_csv)
+from spatsim.harness import (ALGORITHM_NAMES, CriterionTable, PleCell,
+                             SweepConfig, _make_algorithms, aliasing_overlay,
+                             run_sweep, usable_bandwidth, write_surfaces_csv)
 from spatsim.hrir import CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION
 from spatsim.localization import (PLE_TARGET_AZIMUTHS, build_cue_lookup,
-                                  localize, _rms_ignore_nan)
+                                  localize)
 from spatsim.metrics import (BeamPattern, SnrSweep, beam_error, beam_pattern,
                              make_third_octave_grid, snr_error,
                              snr_improvement, spectral_distance)
@@ -107,21 +107,20 @@ def identity_data(hrir_set, mvdr_design, lookup):
 
     probe = speech_shaped_noise(0.5, RATE, seed=60)
     bank = ReceiverBank(array, hrir_set, CENTER, CHANNELS_LOCALIZATION)
-    doa_err = []
+    ref_doas = []
+    nsp_doas = []
     distances = []
     for az in PLE_TARGET_AZIMUTHS:
         src = VirtualSource(probe, Position2D.from_polar(az, 3.0))
         ref_buf = render_reference(src, hrir_set, CENTER,
                                    CHANNELS_LOCALIZATION)
         nsp_buf = render_source(ReproductionMethod.NSP, bank, src)
-        ref_est = localize(ref_buf, lookup).fine_azimuth
-        nsp_est = localize(nsp_buf, lookup).fine_azimuth
-        doa_err.append(np.nan if ref_est is None or nsp_est is None
-                       else nsp_est - ref_est)
+        ref_doas.append(localize(ref_buf, lookup).fine_azimuth)
+        nsp_doas.append(localize(nsp_buf, lookup).fine_azimuth)
         distances.append(spectral_distance(ref_buf.samples[0],
                                            nsp_buf.samples[0], RATE))
     return {"beam": beam_err, "snr": snr_err,
-            "ple": _rms_ignore_nan(np.asarray(doa_err)),
+            "ple": PleCell.from_estimates(nsp_doas, ref_doas).value,
             "spectral": float(np.mean(distances)),
             "elapsed": time.time() - t0}
 

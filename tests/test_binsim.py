@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spatsim.binsim import (AudioBuffer, ReceiverBank, SceneSpec,
-                            VirtualSource, calibrate_stems, mix_scene,
+                            VirtualSource, calibrate_stems,
                             render_reference, render_scene_stems,
                             render_source, render_speaker_feeds,
                             render_to_receiver, select_channels)
@@ -144,19 +144,20 @@ def test_rendering_linearity(hrir_set):
     assert np.abs(mixed.samples - parts).max() < 1e-6 * scale
 
 
-def _tiny_scene(duration=0.25, snr=0.0, n_noise=2):
+def _tiny_scene(duration=0.25, n_noise=2):
     target = VirtualSource(speech_shaped_noise(duration, RATE, seed=21),
                            Position2D.from_polar(0.0, 3.0))
     noises = tuple(
         VirtualSource(speech_shaped_noise(duration, RATE, seed=30 + i),
                       Position2D.from_polar(60.0 + 120.0 * i, 2.0))
         for i in range(n_noise))
-    return SceneSpec(target=target, noises=noises, nominal_input_snr=snr)
+    return SceneSpec(target=target, noises=noises)
 
 
 def test_mix_scene_additivity_and_calibration(hrir_set):
-    out = mix_scene(_tiny_scene(snr=0.0), None, None, hrir_set, CENTER,
-                    CHANNELS_LOCALIZATION)
+    out = calibrate_stems(render_scene_stems(_tiny_scene(), None, None,
+                                             hrir_set, CENTER,
+                                             CHANNELS_LOCALIZATION), 0.0)
     s = out.mixture.samples
     resid = s - (out.target_only.samples + out.noise_only.samples)
     assert np.abs(resid).max() < 1e-6 * np.abs(s).max()

@@ -7,8 +7,7 @@ from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
-                            SingleChannelNoiseReduction, design_mvdr,
-                            shadow_filter)
+                            SingleChannelNoiseReduction, design_mvdr)
 from spatsim.hrir import (CHANNELS_ADM, CHANNELS_BEAMFORMER,
                           CHANNELS_BINAURAL_NR, CHANNELS_SINGLE_NR)
 from spatsim.signals import make_default_scene, speech_shaped_noise, white_noise
@@ -279,7 +278,7 @@ def test_shadow_additivity_all_algorithms(scene_stems, mvdr_design):
     ]
     for algo, channels in algos:
         stems = select_channels(scene_stems, channels)
-        shadow = shadow_filter(algo, stems)
+        shadow = algo.shadow(stems)
         assert _additivity(shadow) < 1e-6, algo.name
 
 

@@ -51,6 +51,12 @@ def test_config_hash_sensitivity():
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == SweepConfig().config_hash()
     assert len(a.config_hash()) == 16
+    # Where a sweep is written is not part of what it computes.
+    moved = SweepConfig(output_dir="elsewhere")
+    assert moved.config_hash() == a.config_hash()
+    assert (SweepConfig(output_dir="elsewhere", seed=a.seed + 1).config_hash()
+            == b.config_hash())
+    assert "output_dir: elsewhere" in moved.to_yaml()
 
 
 def test_criterion_table_defaults():

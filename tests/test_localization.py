@@ -4,10 +4,9 @@ import pytest
 from spatsim.binsim import AudioBuffer, VirtualSource, render_reference
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.hrir import CHANNELS_LOCALIZATION
-from spatsim.localization import (_rms_ignore_nan, build_cue_lookup,
-                                  extract_cues, gammatone_band,
-                                  gammatone_centers, localize,
-                                  perceived_location_error)
+from spatsim.harness import PleCell
+from spatsim.localization import (build_cue_lookup, extract_cues,
+                                  gammatone_band, gammatone_centers, localize)
 from spatsim.signals import speech_shaped_noise, white_noise
 
 RATE = 48000
@@ -88,27 +87,33 @@ def test_diotic_input_reads_frontal(lookup):
 
 
 def test_rms_ignore_nan():
-    assert _rms_ignore_nan(np.array([3.0, np.nan, 4.0])) == pytest.approx(
-        np.sqrt(12.5))
-    assert np.isnan(_rms_ignore_nan(np.array([np.nan, np.nan])))
+    cell = PleCell(np.array([3.0, np.nan, 4.0]))
+    assert cell.value == pytest.approx(np.sqrt(12.5))
+    assert cell.dropped == 1
+    assert np.isnan(PleCell(np.array([np.nan, np.nan])).value)
+    assert PleCell.from_estimates([3.0, None, 1.0],
+                                  [1.0, 0.0, None]).dropped == 2
 
 
 def test_perceived_location_error_constant_bias(hrir_set, lookup):
-    # Rendering every target 5 degrees off should read back as ~5 degrees RMS.
+    # Rendering every target 5 degrees off should read back as ~5 degrees RMS
+    # against the free-field estimate of the target. The test renderings use
+    # another noise probe than the reference, so the unbiased one reads
+    # the estimate's dependence on the signal, not an exact 0.
     targets = np.array([-30.0, -15.0, 0.0, 15.0, 30.0])
+    reference = [localize(_render(hrir_set, az), lookup).fine_azimuth
+                 for az in targets]
 
-    def render_biased(az):
-        return _render(hrir_set, az + 5.0)
+    def ple(bias):
+        return PleCell.from_estimates(
+            [localize(_render(hrir_set, az + bias, seed=23), lookup)
+             .fine_azimuth for az in targets], reference)
 
-    res = perceived_location_error(render_biased, lookup,
-                                   target_azimuths=targets)
-    assert res.missing_fine == 0
-    assert res.fine_rms == pytest.approx(5.0, abs=2.0)
+    res = ple(5.0)
+    assert res.dropped == 0
+    assert res.value == pytest.approx(5.0, abs=2.0)
 
-    def render_true(az):
-        return _render(hrir_set, az)
-
-    base = perceived_location_error(render_true, lookup,
-                                    target_azimuths=targets)
-    assert base.fine_rms < 2.0
-    assert base.fine_rms < res.fine_rms
+    base = ple(0.0)
+    assert base.dropped == 0
+    assert base.value < 2.0
+    assert base.value < res.value

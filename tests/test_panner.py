@@ -5,8 +5,8 @@ import pytest
 
 from spatsim.geometry import Position2D, build_array
 from spatsim.panner import (AliasingPrediction, ReproductionMethod,
-                            aliasing_limit, driving_filters, hoa_kernel,
-                            hoa_weights, method_weights, nsp_weights,
+                            aliasing_limit, hoa_kernel, hoa_weights,
+                            method_weights, nsp_weights,
                             speakers_for_bandwidth, vbap_weights)
 
 ALL_COUNTS = (4, 6, 8, 12, 18, 24, 36, 72)
@@ -113,18 +113,6 @@ def test_weights_independent_of_distance():
         assert np.abs(near.weights - far.weights).max() < 1e-12
         assert far.source_delay == pytest.approx(5.0 / 343.0)
         assert far.source_attenuation == pytest.approx(0.2)
-
-
-def test_driving_filters():
-    arr = build_array(4, 3.0)
-    taps = driving_filters(nsp_weights(arr, Position2D.from_polar(0.0, 3.0)))
-    assert taps[0].gain == pytest.approx(1.0 / 3.0)
-    assert taps[0].delay == pytest.approx(3.0 / 343.0)
-    assert all(t.gain == 0.0 for t in taps[1:])
-    # Negative weights keep their sign; zero weights give zero taps.
-    hoa = driving_filters(hoa_weights(build_array(4, 3.0),
-                                      Position2D.from_polar(180.0, 3.0)))
-    assert any(t.gain < 0.0 for t in hoa)
 
 
 def test_aliasing_limit_examples():
