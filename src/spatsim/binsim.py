@@ -190,7 +190,7 @@ def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
     """Uncalibrated stems plus calibration-channel powers in the metadata.
 
     Rendering is linear, so SNR variants can rescale the noise stem without
-    re-rendering (see calibrate_stems).
+    re-rendering (see noise_scale and calibrate_stems).
     """
     channels = tuple(channels)
     render_channels = channels
@@ -247,13 +247,19 @@ def select_channels(stems: RenderOutput, channels: tuple) -> RenderOutput:
         channels=channels, metadata=dict(stems.metadata))
 
 
-def calibrate_stems(stems: RenderOutput, nominal_input_snr: float) -> RenderOutput:
-    """Scale the noise stem so the calibration-channel SNR hits the nominal value."""
+def noise_scale(stems: RenderOutput, nominal_input_snr: float) -> float:
+    """Factor on the noise stem that puts the calibration-channel SNR at the
+    nominal value."""
     p_t = stems.metadata["target_power"]
     p_n = stems.metadata["noise_power"]
     if p_t <= 0.0 or p_n <= 0.0:
         raise ValueError("cannot calibrate SNR: zero-power stem")
-    scale = np.sqrt(p_t / p_n) * 10.0 ** (-nominal_input_snr / 20.0)
+    return np.sqrt(p_t / p_n) * 10.0 ** (-nominal_input_snr / 20.0)
+
+
+def calibrate_stems(stems: RenderOutput, nominal_input_snr: float) -> RenderOutput:
+    """Scale the noise stem so the calibration-channel SNR hits the nominal value."""
+    scale = noise_scale(stems, nominal_input_snr)
     rate = stems.mixture.sample_rate
     noise = AudioBuffer(rate, stems.noise_only.samples * scale)
     target = stems.target_only

@@ -114,7 +114,7 @@ def _cmd_sweep(args) -> int:
     if not args.quiet:
         print(f"wrote {out_dir}/surfaces.csv ({len(result.surfaces)} surfaces)")
     if result.failures:
-        print(f"{len(result.failures)} cell(s) failed; see manifest",
+        print(f"{len(result.failures)} failure(s); see manifest",
               file=sys.stderr)
         return 2
     return 0

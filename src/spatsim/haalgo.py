@@ -64,15 +64,20 @@ class SpectralGainAlgorithm:
     def _apply(self, op, spec: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _aux_from_stems(self, stems: RenderOutput) -> dict:
-        return {}
-
-    def _aux_from_buffer(self, buf: AudioBuffer) -> dict:
+    def _aux(self, noise_spec: np.ndarray) -> dict:
+        """Inputs of `_operation` besides the mixture, from the STFT of the
+        noise in the mixture. Only oracle algorithms read it."""
         return {}
 
     @property
     def output_channels(self) -> int:
         return len(self.channels)
+
+    def _synthesize(self, op, spec: np.ndarray, n_samples: int,
+                    sample_rate: int) -> AudioBuffer:
+        return AudioBuffer(sample_rate,
+                           self.stft.synthesize(self._apply(op, spec),
+                                                n_samples))
 
     def process(self, buf: AudioBuffer) -> AudioBuffer:
         if buf.channels != len(self.channels):
@@ -80,23 +85,43 @@ class SpectralGainAlgorithm:
                 f"{self.name} expects {len(self.channels)} channels, "
                 f"got {buf.channels}")
         spec = self.stft.analyze(buf.samples)
-        op = self._operation(spec, self._aux_from_buffer(buf))
-        out = self.stft.synthesize(self._apply(op, spec), buf.samples.shape[1])
-        return AudioBuffer(buf.sample_rate, out)
+        return self._synthesize(self._operation(spec, {}), spec,
+                                buf.samples.shape[1], buf.sample_rate)
+
+    def analyze_stems(self, stems: RenderOutput) -> tuple:
+        """STFTs of the target and noise stems, checked to sum to the
+        mixture."""
+        _check_stems(stems)
+        return (self.stft.analyze(stems.target_only.samples),
+                self.stft.analyze(stems.noise_only.samples))
+
+    def shadow_stems(self, stems: RenderOutput, spectra: tuple,
+                     noise_scale: float = 1.0,
+                     with_mixture: bool = False) -> list:
+        """Shadow filtering of the target stem plus `noise_scale` times the
+        noise stem, from their STFTs `spectra` (`analyze_stems(stems)`).
+
+        The STFT is linear, so the mixture STFT is target + scale * noise;
+        the operation is derived from it alone and applied to each stem.
+        Returns the processed [target, scaled noise], or [mixture, target,
+        scaled noise] `with_mixture`.
+        """
+        target_spec, noise_spec = spectra
+        noise_spec = noise_scale * noise_spec
+        mix_spec = target_spec + noise_spec
+        op = self._operation(mix_spec, self._aux(noise_spec))
+        specs = (target_spec, noise_spec)
+        if with_mixture:
+            specs = (mix_spec,) + specs
+        n = stems.mixture.samples.shape[1]
+        rate = stems.mixture.sample_rate
+        return [self._synthesize(op, spec, n, rate) for spec in specs]
 
     def shadow(self, stems: RenderOutput) -> ShadowOutput:
-        _check_stems(stems)
-        n = stems.mixture.samples.shape[1]
-        mix_spec = self.stft.analyze(stems.mixture.samples)
-        op = self._operation(mix_spec, self._aux_from_stems(stems))
-        rate = stems.mixture.sample_rate
-        out = []
-        for spec in (mix_spec,
-                     self.stft.analyze(stems.target_only.samples),
-                     self.stft.analyze(stems.noise_only.samples)):
-            out.append(AudioBuffer(
-                rate, self.stft.synthesize(self._apply(op, spec), n)))
-        return ShadowOutput(*out)
+        """The mixture, target and noise stems, each processed with the
+        operation derived from the mixture."""
+        return ShadowOutput(*self.shadow_stems(
+            stems, self.analyze_stems(stems), with_mixture=True))
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +140,20 @@ class BeamformerDesign:
 
 
 def _channel_spectra(hrir_set: HrirSet, azimuth: float, channels: tuple,
-                     freqs_norm: np.ndarray) -> np.ndarray:
-    """DTFT of the channel IRs at normalized frequencies -> (bins, channels)."""
+                     n_fft: int) -> np.ndarray:
+    """DTFT of the channel IRs at the frequencies k / n_fft (k = 0 ..
+    n_fft / 2) -> (bins, channels).
+
+    exp(-2 pi i k n / n_fft) has period n_fft in n, so the DTFT there is the
+    rfft of the IR folded modulo n_fft (its n_fft-sample blocks summed).
+    """
     from .hrir import interpolate_direction
 
     irs = interpolate_direction(hrir_set, azimuth)
-    idx = [hrir_set.channel_index(c) for c in channels]
-    n = np.arange(irs.shape[1])
-    basis = np.exp(-2j * np.pi * freqs_norm[:, None] * n[None, :])
-    return basis @ irs[idx].T
+    irs = irs[[hrir_set.channel_index(c) for c in channels]]
+    irs = np.pad(irs, ((0, 0), (0, -irs.shape[1] % n_fft)))
+    folded = irs.reshape(len(channels), -1, n_fft).sum(axis=1)
+    return np.fft.rfft(folded, axis=1).T
 
 
 def design_mvdr(hrir_set: HrirSet, steering_azimuth: float = 0.0,
@@ -137,12 +167,14 @@ def design_mvdr(hrir_set: HrirSet, steering_azimuth: float = 0.0,
     its trace.
     """
     stft = stft or StftProcessor(sample_rate=hrir_set.sample_rate)
-    freqs_norm = stft.frequencies / hrir_set.sample_rate
+    if stft.sample_rate != hrir_set.sample_rate:
+        raise ValueError("the STFT and the HRIR set must share a sample rate")
     n_ch = len(CHANNELS_BEAMFORMER)
 
     phi = np.zeros((stft.bins, n_ch, n_ch), dtype=complex)
     for az in hrir_set.azimuths:
-        d_az = _channel_spectra(hrir_set, az, CHANNELS_BEAMFORMER, freqs_norm)
+        d_az = _channel_spectra(hrir_set, az, CHANNELS_BEAMFORMER,
+                                stft.window_size)
         phi += d_az[:, :, None] * d_az[:, None, :].conj()
     phi /= len(hrir_set.azimuths)
 
@@ -156,7 +188,7 @@ def design_mvdr(hrir_set: HrirSet, steering_azimuth: float = 0.0,
             f"diffuse covariance ill-conditioned: max cond {cond.max():.3g}")
 
     d = _channel_spectra(hrir_set, steering_azimuth, CHANNELS_BEAMFORMER,
-                         freqs_norm)
+                         stft.window_size)
     phi_inv_d = np.linalg.solve(phi, d[:, :, None])[:, :, 0]
     denom = np.einsum("bc,bc->b", d.conj(), phi_inv_d)
     w = phi_inv_d / denom[:, None]
@@ -387,8 +419,8 @@ class SingleChannelNoiseReduction(SpectralGainAlgorithm):
         self.dd_alpha = dd_alpha
         self.gain_floor = 10.0 ** (gain_floor_db / 20.0)
 
-    def _aux_from_stems(self, stems: RenderOutput) -> dict:
-        return {"noise_spec": self.stft.analyze(stems.noise_only.samples)[0]}
+    def _aux(self, noise_spec: np.ndarray) -> dict:
+        return {"noise_spec": noise_spec[0]}
 
     def process_with_oracle(self, buf: AudioBuffer,
                             oracle_noise: AudioBuffer) -> AudioBuffer:
@@ -396,10 +428,9 @@ class SingleChannelNoiseReduction(SpectralGainAlgorithm):
             raise ValueError("oracle noise stem must match the input shape")
         spec = self.stft.analyze(buf.samples)
         op = self._operation(spec,
-                             {"noise_spec": self.stft.analyze(
-                                 oracle_noise.samples)[0]})
-        out = self.stft.synthesize(self._apply(op, spec), buf.samples.shape[1])
-        return AudioBuffer(buf.sample_rate, out)
+                             self._aux(self.stft.analyze(oracle_noise.samples)))
+        return self._synthesize(op, spec, buf.samples.shape[1],
+                                buf.sample_rate)
 
     def process(self, buf: AudioBuffer) -> AudioBuffer:
         raise TypeError("oracle algorithm: use process_with_oracle or shadow")

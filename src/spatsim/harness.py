@@ -19,7 +19,7 @@ from .binsim import (ReceiverBank, VirtualSource, render_reference,
                      render_scene_stems, render_source, select_channels)
 from .geometry import ListenerPose, Position2D, build_array
 from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
-                     MvdrBeamformer, MvdrCoreBeamformer,
+                     DesignError, MvdrBeamformer, MvdrCoreBeamformer,
                      SingleChannelNoiseReduction, design_mvdr)
 from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
                    DEFAULT_HEAD_RADIUS, HrirSet, load_hrir_set,
@@ -199,11 +199,14 @@ def _load_hrirs(config: SweepConfig) -> HrirSet:
 _UNION_CHANNELS = CHANNELS_BEAMFORMER        # superset of all algorithm inputs
 
 
-def _make_algorithms(hrir_set: HrirSet, names) -> dict:
+def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
+    """Algorithms by name; the beamformer uses `design`, or designs its own
+    when none is given."""
     algos = {}
     for name in names:
         if name == "beamformer":
-            algos[name] = MvdrBeamformer(design_mvdr(hrir_set))
+            algos[name] = MvdrBeamformer(design if design is not None
+                                         else design_mvdr(hrir_set))
         elif name == "adm":
             spacing = 0.01
             algos[name] = AdaptiveDifferentialMic(mic_spacing=spacing)
@@ -234,11 +237,13 @@ class _PoseContext:
             stems = render_scene_stems(scene, None, None, hrir_set, pose,
                                        _UNION_CHANNELS)
             for name, alg in algorithms.items():
+                if alg is None:
+                    continue
                 sub = select_channels(stems, alg.channels)
                 self.ref_sweeps[name] = snr_improvement(
                     alg, sub, grid, input_snrs=config.input_snrs)
         self.ref_pattern = None
-        if "beam" in config.metrics:
+        if pattern_algorithm is not None:
             self.ref_pattern = beam_pattern(
                 pattern_algorithm, None, None, hrir_set, pose, grid,
                 probe_duration=config.pattern_probe_duration, seed=config.seed)
@@ -267,7 +272,9 @@ def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
     array = build_array(count, radius=config.array_radius)
     out = {}
     ple = None
-    if "beam" in config.metrics:
+    if "beam" in config.metrics and pattern_algorithm is None:
+        out["beam"] = np.full(len(ctx.grid), np.nan)
+    elif "beam" in config.metrics:
         pat = beam_pattern(pattern_algorithm, method, array, hrir_set,
                            ctx.pose, ctx.grid,
                            probe_duration=config.pattern_probe_duration,
@@ -278,6 +285,9 @@ def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
         stems = render_scene_stems(ctx.scene, method, array, hrir_set,
                                    ctx.pose, _UNION_CHANNELS)
         for name, alg in algorithms.items():
+            if alg is None:
+                out[("snr", name)] = np.full(len(ctx.grid), np.nan)
+                continue
             sub = select_channels(stems, alg.channels)
             sweep = snr_improvement(alg, sub, ctx.grid,
                                     input_snrs=config.input_snrs)
@@ -309,20 +319,29 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     """Evaluate the whole (method x N x pose) grid.
 
     Deterministic for a given config; cell failures are recorded and leave
-    NaNs in the affected surface instead of aborting the run.
+    NaNs in the affected surface instead of aborting the run. So does a
+    failed MVDR design, in the beamformer's SNR surfaces and the beam
+    surfaces.
     """
     if hrir_set is None:
         hrir_set = _load_hrirs(config)
     grid = config.band_grid()
-    algorithms = _make_algorithms(hrir_set, config.algorithms)
+    failures = []
+    design = None
+    if "beamformer" in config.algorithms or "beam" in config.metrics:
+        try:
+            design = design_mvdr(hrir_set)
+        except DesignError:
+            failures.append((("design_mvdr",), traceback.format_exc(limit=3)))
+    # Without a design the beamformer stays None and its surfaces NaN.
+    algorithms = dict.fromkeys(config.algorithms)
+    algorithms.update(_make_algorithms(
+        hrir_set, [name for name in config.algorithms
+                   if design is not None or name != "beamformer"], design))
     # The beam pattern uses the linear beamformer core; the time-variant post
     # filter would dominate the pattern differences at all frequencies.
     pattern_algorithm = None
-    if "beam" in config.metrics:
-        if "beamformer" in algorithms:
-            design = algorithms["beamformer"].design
-        else:
-            design = design_mvdr(hrir_set)
+    if "beam" in config.metrics and design is not None:
         pattern_algorithm = MvdrCoreBeamformer(design)
     lookup = None
     if "ple" in config.metrics:
@@ -344,7 +363,6 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
                                np.nan))
         return store[key]
 
-    failures = []
     ple_cells = {}
     for pose_offset, pose in zip(config.pose_offsets, config.poses()):
         ctx = _PoseContext(config, hrir_set, pose, algorithms, grid, lookup,
@@ -558,7 +576,7 @@ def report(result: SweepResult, criteria: CriterionTable | None = None) -> str:
                          f"pose={surf.pose_offset:g} m: {vals}")
     if result.failures:
         lines.append("")
-        lines.append(f"{len(result.failures)} cell(s) failed:")
+        lines.append(f"{len(result.failures)} failure(s):")
         for cell, msg in result.failures:
             lines.append(f"  {cell}: {msg.splitlines()[-1]}")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binsim import (AudioBuffer, RenderOutput, calibrate_stems,
+from .binsim import (AudioBuffer, RenderOutput, noise_scale,
                      render_reference, render_source, ReceiverBank,
                      VirtualSource)
 from .dsp import erb_bandwidth, erb_number, erb_to_hz
@@ -157,14 +157,9 @@ class SnrSweep:
     delta_r: np.ndarray         # (n_snrs, n_bands), nan for excluded bands
 
 
-def _band_snr_db(target: AudioBuffer, noise: AudioBuffer, grid: BandGrid,
-                 channel_indices=None) -> np.ndarray:
-    idx = (list(channel_indices) if channel_indices is not None
-           else list(range(target.channels)))
-    p_t = third_octave_analyze(target.samples[idx], target.sample_rate,
-                               grid).sum(axis=0)
-    p_n = third_octave_analyze(noise.samples[idx], noise.sample_rate,
-                               grid).sum(axis=0)
+def _band_snr_db(p_t: np.ndarray, p_n: np.ndarray) -> np.ndarray:
+    """Band SNR in dB from target and noise band powers; NaN where either
+    power is zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = 10.0 * np.log10(p_t / p_n)
     snr[(p_t <= 0) | (p_n <= 0)] = np.nan
@@ -176,16 +171,27 @@ def snr_improvement(algorithm, stems: RenderOutput, grid: BandGrid,
     """Long-term band SNR improvement via shadow filtering.
 
     `stems` are uncalibrated scene stems (render_scene_stems); each nominal
-    SNR rescales the noise stem before processing.
+    SNR rescales the noise stem before processing. Every step before the
+    algorithm's operation is linear, so the stems are transformed once and
+    only the scale changes with the SNR.
     """
-    ref_idx = getattr(algorithm, "reference_channel_indices",
-                      tuple(range(len(algorithm.channels))))
+    ref_idx = list(getattr(algorithm, "reference_channel_indices",
+                           range(len(algorithm.channels))))
+    rate = stems.mixture.sample_rate
+
+    def band_power(samples):
+        return third_octave_analyze(samples, rate, grid).sum(axis=0)
+
+    spectra = algorithm.analyze_stems(stems)
+    p_t_in = band_power(stems.target_only.samples[ref_idx])
+    p_n_in = band_power(stems.noise_only.samples[ref_idx])
     delta = np.empty((len(input_snrs), len(grid)))
     for i, snr in enumerate(input_snrs):
-        cal = calibrate_stems(stems, snr)
-        shadow = algorithm.shadow(cal)
-        r_in = _band_snr_db(cal.target_only, cal.noise_only, grid, ref_idx)
-        r_out = _band_snr_db(shadow.target, shadow.noise, grid)
+        scale = noise_scale(stems, snr)
+        target, noise = algorithm.shadow_stems(stems, spectra, scale)
+        r_in = _band_snr_db(p_t_in, scale ** 2 * p_n_in)
+        r_out = _band_snr_db(band_power(target.samples),
+                             band_power(noise.samples))
         delta[i] = r_out - r_in
     return SnrSweep(input_snrs=tuple(input_snrs), grid=grid, delta_r=delta)
 
@@ -210,24 +216,25 @@ SPECTRAL_WEIGHT_RIPPLE = 0.020   # per dB excitation ripple deviation
 SPECTRAL_WEIGHT_SLOPE = 0.010    # per dB/ERB-step slope deviation
 
 
-def _erb_excitation(samples: np.ndarray, sample_rate: int,
-                    f_lo: float = 100.0, f_hi: float = 8000.0,
-                    step_erb: float = 0.5) -> np.ndarray:
-    """Excitation pattern in dB from the long-term power spectrum through an
-    ERB-spaced rounded-exponential filterbank."""
-    x = np.asarray(samples, dtype=float).ravel()
-    n = len(x)
-    psd = np.abs(np.fft.rfft(x)) ** 2 / n ** 2
-    psd[1:] *= 2.0
+def _erb_excitation(signals, sample_rate: int, f_lo: float = 100.0,
+                    f_hi: float = 8000.0, step_erb: float = 0.5) -> np.ndarray:
+    """Excitation patterns in dB, one row per signal (all of one length),
+    from the long-term power spectrum through an ERB-spaced
+    rounded-exponential filterbank."""
+    x = np.stack([np.asarray(s, dtype=float).ravel() for s in signals])
+    n = x.shape[1]
+    psds = np.abs(np.fft.rfft(x, axis=1)) ** 2 / n ** 2
+    psds[:, 1:] *= 2.0
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     e_centers = np.arange(erb_number(f_lo), erb_number(f_hi) + 1e-9, step_erb)
     centers = erb_to_hz(e_centers)
-    excitation = np.empty(len(centers))
+    excitation = np.empty((len(psds), len(centers)))
     for i, fc in enumerate(centers):
         g = np.abs(freqs - fc) / erb_bandwidth(fc)
         p = 4.0 * g
         w = (1.0 + p) * np.exp(-p)
-        excitation[i] = np.maximum((w * psd).sum(), 1e-30)
+        for j, psd in enumerate(psds):
+            excitation[j, i] = np.maximum((w * psd).sum(), 1e-30)
     return 10.0 * np.log10(excitation)
 
 
@@ -249,8 +256,7 @@ def spectral_distance(ref: np.ndarray, test: np.ndarray,
         raise ValueError("spectral distance undefined for silent input")
     test = test * np.sqrt(p_ref / p_test)
 
-    e_ref = _erb_excitation(ref, sample_rate)
-    e_test = _erb_excitation(test, sample_rate)
+    e_ref, e_test = _erb_excitation((ref, test), sample_rate)
     diff = e_test - e_ref
     d_abs = np.mean(np.abs(diff))
     kernel = np.ones(5) / 5.0

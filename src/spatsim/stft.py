@@ -57,10 +57,14 @@ class StftProcessor:
             spec = spec[None]
         ch, frames, _ = spec.shape
         seg = np.fft.irfft(spec, n=self.window_size, axis=-1) * self.window
-        total = self.window_size + self.hop * (frames - 1)
-        out = np.zeros((ch, total))
-        for t in range(frames):
-            out[:, t * self.hop:t * self.hop + self.window_size] += seg[:, t]
-        out /= self._cola
+        # Overlap-add by hop-sized blocks: block r of frame t lands on output
+        # block t + r. Adding r in descending order adds each output block's
+        # terms in frame order, as a loop over frames would.
+        per_frame = self.window_size // self.hop
+        blocks = seg.reshape(ch, frames, per_frame, self.hop)
+        out = np.zeros((ch, frames + per_frame - 1, self.hop))
+        for r in reversed(range(per_frame)):
+            out[:, r:r + frames] += blocks[:, :, r]
+        out = out.reshape(ch, -1) / self._cola
         pad = self.window_size
         return out[:, pad:pad + n_samples]

@@ -1,6 +1,7 @@
 import numpy as np
 
 from spatsim.dsp import one_pole_smooth
+from spatsim.stft import StftProcessor
 
 
 def _recurrence(x, alpha):
@@ -23,3 +24,26 @@ def test_one_pole_smooth_matches_recurrence():
         assert np.array_equal(one_pole_smooth(x, tau, rate, axis=0), expected)
         assert np.array_equal(one_pole_smooth(x.T, tau, rate, axis=-1),
                               expected.T)
+
+
+def _overlap_add_loop(stft, spec, n_samples):
+    """StftProcessor.synthesize written as a loop over frames."""
+    seg = np.fft.irfft(spec, n=stft.window_size, axis=-1) * stft.window
+    ch, frames, _ = seg.shape
+    out = np.zeros((ch, stft.window_size + stft.hop * (frames - 1)))
+    for t in range(frames):
+        out[:, t * stft.hop:t * stft.hop + stft.window_size] += seg[:, t]
+    out /= stft._cola
+    return out[:, stft.window_size:stft.window_size + n_samples]
+
+
+def test_synthesize_matches_frame_loop():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 101380))
+    for hop in (256, 128):
+        stft = StftProcessor(window_size=512, hop=hop)
+        spec = stft.analyze(x)
+        # A modified spectrum, so that frames no longer overlap consistently.
+        spec = spec * rng.uniform(0.1, 1.0, spec.shape[1:])
+        assert np.array_equal(stft.synthesize(spec, x.shape[1]),
+                              _overlap_add_loop(stft, spec, x.shape[1]))

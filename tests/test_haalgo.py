@@ -7,9 +7,11 @@ from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
-                            SingleChannelNoiseReduction, design_mvdr)
-from spatsim.hrir import (CHANNELS_ADM, CHANNELS_BEAMFORMER,
-                          CHANNELS_BINAURAL_NR, CHANNELS_SINGLE_NR)
+                            SingleChannelNoiseReduction, _channel_spectra,
+                            design_mvdr)
+from spatsim.hrir import (CHANNELS, CHANNELS_ADM, CHANNELS_BEAMFORMER,
+                          CHANNELS_BINAURAL_NR, CHANNELS_SINGLE_NR,
+                          interpolate_direction)
 from spatsim.signals import make_default_scene, speech_shaped_noise, white_noise
 from spatsim.stft import StftProcessor
 
@@ -42,6 +44,29 @@ def test_stft_geometry():
 
 # ---------------------------------------------------------------------------
 # MVDR design
+
+
+def test_channel_spectra_match_dtft_basis(hrir_set):
+    # The fold + rfft equals the DTFT at the STFT bins, evaluated from the
+    # explicit exp(-2 pi i f n) basis, for on- and off-grid directions.
+    stft = StftProcessor()
+    freqs_norm = stft.frequencies / hrir_set.sample_rate
+    for az in (0.0, 37.5, 180.0, 292.3):
+        irs = interpolate_direction(hrir_set, az)
+        assert irs.shape[1] > 4 * stft.window_size
+        n = np.arange(irs.shape[1])
+        basis = np.exp(-2j * np.pi * freqs_norm[:, None] * n[None, :])
+        idx = [hrir_set.channel_index(c) for c in CHANNELS]
+        expected = basis @ irs[idx].T
+        got = _channel_spectra(hrir_set, az, CHANNELS, stft.window_size)
+        assert got.shape == expected.shape
+        assert (np.abs(got - expected).max()
+                <= 1e-12 * np.abs(expected).max()), az
+
+
+def test_mvdr_rejects_mismatched_sample_rate(hrir_set):
+    with pytest.raises(ValueError):
+        design_mvdr(hrir_set, stft=StftProcessor(sample_rate=16000))
 
 
 def test_mvdr_distortionless(mvdr_design):

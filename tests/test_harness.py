@@ -3,6 +3,7 @@ import pytest
 import yaml
 
 from spatsim.cli import main
+from spatsim.haalgo import DesignError
 import spatsim.harness as harness
 from spatsim.harness import (CriterionTable, ErrorSurface, PleCell,
                              SweepConfig, SweepResult, aliasing_overlay,
@@ -226,6 +227,26 @@ def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
     good = ple.errors[np.isfinite(ple.errors)]
     assert result.surface("ple", "nsp", 0.0).values[0] == pytest.approx(
         np.sqrt(np.mean(good ** 2)))
+
+
+def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):
+    def ill_conditioned(hs):
+        raise DesignError("diffuse covariance ill-conditioned: max cond 1e+20")
+
+    monkeypatch.setattr(harness, "design_mvdr", ill_conditioned)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(8,), pose_offsets=(0.0,), methods=("nsp",),
+        algorithms=("beamformer", "single_nr"), metrics=("beam", "snr"),
+        input_snrs=(0.0,), scene_duration=0.5, n_noise_sources=3)
+    result = run_sweep(config, hrir_set=hrir_set)
+    assert len(result.failures) == 1
+    cell, msg = result.failures[0]
+    assert "ill-conditioned" in msg.splitlines()[-1]
+    assert "ill-conditioned" in report(result)
+    assert np.isfinite(
+        result.surface("snr", "nsp", 0.0, "single_nr").values).any()
+    assert np.isnan(result.surface("snr", "nsp", 0.0, "beamformer").values).all()
+    assert np.isnan(result.surface("beam", "nsp", 0.0).values).all()
 
 
 def test_manifest_records_ple_cells(tmp_path):

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from spatsim.binsim import SceneSpec, VirtualSource, render_scene_stems
+import spatsim.metrics as metrics
+from spatsim.binsim import (SceneSpec, VirtualSource, calibrate_stems,
+                            render_scene_stems, select_channels)
 from spatsim.geometry import ListenerPose, Position2D
-from spatsim.haalgo import SpectralGainAlgorithm
+from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
+                            MvdrBeamformer, SingleChannelNoiseReduction,
+                            SpectralGainAlgorithm)
+from spatsim.hrir import CHANNELS_BEAMFORMER
 from spatsim.metrics import (BEAM_PATTERN_FLOOR_DB, BandGrid, BeamPattern,
                              NOMINAL_INPUT_SNRS, SnrSweep, beam_error,
                              beam_pattern, make_third_octave_grid,
                              snr_error, snr_improvement, spectral_distance,
                              third_octave_analyze)
-from spatsim.signals import speech_shaped_noise, white_noise
+from spatsim.signals import (make_default_scene, speech_shaped_noise,
+                             white_noise)
 
 RATE = 48000
 CENTER = ListenerPose.center()
@@ -209,6 +215,60 @@ def test_lti_algorithm_has_zero_snr_improvement(hrir_set):
                        np.nan_to_num(sweep.delta_r[1]), atol=1e-6)
 
 
+def _snr_improvement_per_snr(algorithm, stems, grid, input_snrs):
+    """The per-SNR path: calibrate the stems, shadow-filter the calibrated
+    mixture, target and noise from their own STFTs (the oracle noise
+    spectrum from its own analysis too), and take band SNRs from
+    full-length analyses of the calibrated input and processed stems."""
+    stft = algorithm.stft
+    rate = stems.mixture.sample_rate
+    n = stems.mixture.samples.shape[1]
+    ref_idx = list(getattr(algorithm, "reference_channel_indices",
+                           range(len(algorithm.channels))))
+
+    def band_snr(t, v):
+        p_t = third_octave_analyze(t, rate, grid).sum(axis=0)
+        p_n = third_octave_analyze(v, rate, grid).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr = 10.0 * np.log10(p_t / p_n)
+        snr[(p_t <= 0) | (p_n <= 0)] = np.nan
+        return snr
+
+    delta = []
+    for snr in input_snrs:
+        cal = calibrate_stems(stems, snr)
+        op = algorithm._operation(
+            stft.analyze(cal.mixture.samples),
+            algorithm._aux(stft.analyze(cal.noise_only.samples)))
+        target, noise = (
+            stft.synthesize(algorithm._apply(op, stft.analyze(x.samples)), n)
+            for x in (cal.target_only, cal.noise_only))
+        delta.append(band_snr(target, noise)
+                     - band_snr(cal.target_only.samples[ref_idx],
+                                cal.noise_only.samples[ref_idx]))
+    return np.array(delta)
+
+
+def test_snr_improvement_matches_per_snr_path(hrir_set, mvdr_design):
+    # Transforming the stems once and rescaling the noise STFT gives the
+    # surfaces of calibrating and analysing per SNR, to round-off.
+    scene = make_default_scene(0.5, RATE, n_noise=4, seed=77)
+    stems = render_scene_stems(scene, None, None, hrir_set, CENTER,
+                               CHANNELS_BEAMFORMER + _Gain.channels)
+    grid = make_third_octave_grid(100.0, 8000.0)
+    algorithms = (MvdrBeamformer(mvdr_design),
+                  AdaptiveDifferentialMic(mic_spacing=0.01),
+                  CoherenceNoiseReduction(), SingleChannelNoiseReduction(),
+                  _Gain(0.5))
+    for alg in algorithms:
+        sub = select_channels(stems, alg.channels)
+        got = snr_improvement(alg, sub, grid).delta_r
+        expected = _snr_improvement_per_snr(alg, sub, grid,
+                                            NOMINAL_INPUT_SNRS)
+        assert np.array_equal(np.isnan(got), np.isnan(expected)), alg.name
+        assert np.nanmax(np.abs(got - expected)) <= 1e-9, alg.name
+
+
 def test_beam_pattern_constant_gain(hrir_set):
     grid = make_third_octave_grid(200.0, 4000.0)
     az = np.array([0.0, 90.0])
@@ -245,6 +305,23 @@ def test_spectral_distance_axioms():
     y = speech_shaped_noise(1.0, RATE, seed=9)
     assert spectral_distance(x, x, RATE) == 0.0
     assert spectral_distance(x, y, RATE) >= 0.0
+
+
+def test_spectral_distance_one_weight_for_both_signals(monkeypatch):
+    # Each ERB weight is built once and applied to both spectra; the result
+    # is that of one excitation pattern per signal, bit for bit.
+    x = speech_shaped_noise(48127 / RATE, RATE, seed=14)
+    y = np.convolve(x, [1.0, -0.6, 0.2], mode="same")
+    assert len(x) == 48127
+    joint = metrics._erb_excitation((x, y), RATE)
+    single = [metrics._erb_excitation((s,), RATE)[0] for s in (x, y)]
+    assert np.array_equal(joint, np.stack(single))
+    expected = spectral_distance(x, y, RATE)
+    real = metrics._erb_excitation
+    monkeypatch.setattr(metrics, "_erb_excitation",
+                        lambda signals, rate: np.stack(
+                            [real((s,), rate)[0] for s in signals]))
+    assert spectral_distance(x, y, RATE) == expected
 
 
 def test_spectral_distance_level_invariance():
