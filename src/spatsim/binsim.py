@@ -6,6 +6,7 @@ and summed; their sum equals the rendered mixture samplewise.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,17 +93,26 @@ class ReceiverBank:
         # (n_speakers, n_selected_channels, ir_len)
         self.irs = np.stack([ir[ch_idx] for ir in irs])
 
+    def select(self, channels: tuple) -> "ReceiverBank":
+        """This bank restricted to a subset of its channels, without
+        translating the HRIRs again; renders through it cost what a bank
+        built for those channels alone costs, and give the same samples.
+        The bank is immutable, so its own channels give the bank itself."""
+        if tuple(channels) == self.channels:
+            return self
+        sub = copy.copy(self)
+        sub.channels = tuple(channels)
+        sub.irs = self.irs[:, [self.channels.index(c) for c in sub.channels]]
+        return sub
+
     def weighted_ir(self, weights: DrivingWeights) -> np.ndarray:
         """Effective source-to-receiver IR: speaker sum folded with the
         shared source gain/delay, shape (n_channels, len)."""
         w = weights.weights * weights.source_attenuation
         summed = np.tensordot(w, self.irs, axes=(0, 0))
         delay = weights.source_delay * self.set.sample_rate
-        out_len = _delayed_len(summed.shape[1], delay)
-        out = np.empty((summed.shape[0], out_len))
-        for c in range(summed.shape[0]):
-            out[c] = delay_signal(summed[c], delay, out_len=out_len)
-        return out
+        return delay_signal(summed, delay,
+                            out_len=_delayed_len(summed.shape[1], delay))
 
 
 def render_speaker_feeds(method: ReproductionMethod, array: SpeakerArray,
@@ -171,10 +181,8 @@ def render_reference(source: VirtualSource, hrir_set: HrirSet,
     gain = 1.0 / hrir_set.distance
     x = np.asarray(source.signal, dtype=float)
     conv = fftconvolve(x[None, :], tir, axes=1)
-    out_len = _delayed_len(conv.shape[1], delay)
-    out = np.empty((len(ch_idx), out_len))
-    for c in range(len(ch_idx)):
-        out[c] = gain * delay_signal(conv[c], delay, out_len=out_len)
+    out = gain * delay_signal(conv, delay,
+                              out_len=_delayed_len(conv.shape[1], delay))
     return AudioBuffer(sample_rate=hrir_set.sample_rate, samples=out)
 
 
@@ -184,41 +192,46 @@ def _render_any(method, bank, source, hrir_set, pose, channels):
     return render_source(method, bank, source)
 
 
+def _zero_pad(x: np.ndarray, n: int) -> np.ndarray:
+    """`x` with zeros appended along the last axis up to length `n`."""
+    return np.pad(x, ((0, 0), (0, max(0, n - x.shape[1]))))
+
+
 def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
-                       array: SpeakerArray, hrir_set: HrirSet,
+                       bank: ReceiverBank | None, hrir_set: HrirSet,
                        pose: ListenerPose, channels: tuple) -> RenderOutput:
     """Uncalibrated stems plus calibration-channel powers in the metadata.
 
-    Rendering is linear, so SNR variants can rescale the noise stem without
-    re-rendering (see noise_scale and calibrate_stems).
+    `method=None` renders free field (no bank); otherwise the sources go
+    through `bank`, which must hold `channels` and the calibration channel,
+    and only those are rendered. Rendering is linear, so SNR variants can
+    rescale the noise stem without re-rendering (see noise_scale and
+    calibrate_stems).
     """
     channels = tuple(channels)
     render_channels = channels
     if CALIBRATION_CHANNEL not in render_channels:
         render_channels = channels + (CALIBRATION_CHANNEL,)
-    bank = None
     if method is not None:
-        bank = ReceiverBank(array, hrir_set, pose, render_channels)
+        bank = bank.select(render_channels)
 
-    target = _render_any(method, bank, scene.target, hrir_set, pose,
-                         render_channels)
-    n_len = target.samples.shape[1]
-    noise_parts = []
+    t = _render_any(method, bank, scene.target, hrir_set, pose,
+                    render_channels).samples
+    # Each noise part is added as soon as it is rendered, so that only one
+    # is held at a time; the sum grows to the longest part.
+    n = np.zeros((len(render_channels), 0))
     for src in scene.noises:
         scaled = VirtualSource(
             signal=np.asarray(src.signal, dtype=float)
             * 10.0 ** (src.level_offset_db / 20.0),
             position=src.position)
         part = _render_any(method, bank, scaled, hrir_set, pose,
-                           render_channels)
-        noise_parts.append(part.samples)
-        n_len = max(n_len, part.samples.shape[1])
-
-    t = np.zeros((len(render_channels), n_len))
-    t[:, :target.samples.shape[1]] = target.samples
-    n = np.zeros((len(render_channels), n_len))
-    for part in noise_parts:
+                           render_channels).samples
+        n = _zero_pad(n, part.shape[1])
         n[:, :part.shape[1]] += part
+    n_len = max(t.shape[1], n.shape[1])
+    t = _zero_pad(t, n_len)
+    n = _zero_pad(n, n_len)
 
     cal = render_channels.index(CALIBRATION_CHANNEL)
     p_t = float(np.mean(np.square(t[cal])))

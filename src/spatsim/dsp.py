@@ -30,23 +30,23 @@ def fractional_delay_fir(delay_samples: float,
 def delay_signal(x: np.ndarray, delay_samples: float,
                  out_len: int | None = None,
                  taps: int = FRACTIONAL_DELAY_TAPS) -> np.ndarray:
-    """Delay `x` by a possibly fractional number of samples.
+    """Delay `x` along its last axis by a possibly fractional number of
+    samples; every row of an N-D input gets the same delay in one call.
 
     Negative delays shift earlier; samples pushed before t=0 are dropped.
-    Output length defaults to len(x) plus the delay (rounded up).
+    Output length defaults to x.shape[-1] plus the delay (rounded up).
     """
     x = np.asarray(x, dtype=float)
     n0, h = fractional_delay_fir(delay_samples, taps)
-    y = fftconvolve(x, h)
+    y = fftconvolve(x, h.reshape((1,) * (x.ndim - 1) + (-1,)), axes=-1)
     if out_len is None:
-        out_len = len(x) + max(0, int(np.ceil(delay_samples)))
-    out = np.zeros(out_len)
-    start = n0
-    src0 = max(0, -start)
-    dst0 = max(0, start)
-    n_copy = min(len(y) - src0, out_len - dst0)
+        out_len = x.shape[-1] + max(0, int(np.ceil(delay_samples)))
+    out = np.zeros(x.shape[:-1] + (out_len,))
+    src0 = max(0, -n0)
+    dst0 = max(0, n0)
+    n_copy = min(y.shape[-1] - src0, out_len - dst0)
     if n_copy > 0:
-        out[dst0:dst0 + n_copy] = y[src0:src0 + n_copy]
+        out[..., dst0:dst0 + n_copy] = y[..., src0:src0 + n_copy]
     return out
 
 

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .binsim import (ReceiverBank, VirtualSource, render_reference,
-                     render_scene_stems, render_source, select_channels)
+from .binsim import (CALIBRATION_CHANNEL, ReceiverBank, VirtualSource,
+                     render_reference, render_scene_stems, render_source,
+                     select_channels)
 from .geometry import ListenerPose, Position2D, build_array
 from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      DesignError, MvdrBeamformer, MvdrCoreBeamformer,
@@ -30,6 +31,7 @@ from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, beam_error, beam_pattern,
                       spectral_distance)
 from .panner import ReproductionMethod, aliasing_limit
 from .signals import make_default_scene, speech_shaped_noise
+from .stft import StftProcessor
 
 PAPER_SPEAKER_COUNTS = (4, 6, 8, 12, 18, 24, 36, 72)
 DESK_SPEAKER_COUNTS = (4, 8, 12, 24)
@@ -200,20 +202,25 @@ _UNION_CHANNELS = CHANNELS_BEAMFORMER        # superset of all algorithm inputs
 
 
 def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
-    """Algorithms by name; the beamformer uses `design`, or designs its own
-    when none is given."""
+    """Algorithms by name, on an STFT at the HRIR set's sample rate; the
+    beamformer and its linear core ("beamformer_core") use `design`, or
+    design their own when none is given."""
+    stft = StftProcessor(sample_rate=hrir_set.sample_rate)
     algos = {}
     for name in names:
-        if name == "beamformer":
-            algos[name] = MvdrBeamformer(design if design is not None
-                                         else design_mvdr(hrir_set))
+        if name in ("beamformer", "beamformer_core"):
+            if design is None:
+                design = design_mvdr(hrir_set, stft=stft)
+            cls = MvdrBeamformer if name == "beamformer" else MvdrCoreBeamformer
+            algos[name] = cls(design, stft=stft)
         elif name == "adm":
             spacing = 0.01
-            algos[name] = AdaptiveDifferentialMic(mic_spacing=spacing)
+            algos[name] = AdaptiveDifferentialMic(mic_spacing=spacing,
+                                                  stft=stft)
         elif name == "coherence_nr":
-            algos[name] = CoherenceNoiseReduction()
+            algos[name] = CoherenceNoiseReduction(stft=stft)
         elif name == "single_nr":
-            algos[name] = SingleChannelNoiseReduction()
+            algos[name] = SingleChannelNoiseReduction(stft=stft)
         else:
             raise ValueError(f"unknown algorithm {name!r}")
     return algos
@@ -263,6 +270,19 @@ class _PoseContext:
                     self.ref_doas.append(localize(buf, lookup).fine_azimuth)
 
 
+def _cell_channels(config: SweepConfig, hrir_set: HrirSet,
+                   pattern_algorithm) -> tuple:
+    """The receiver channels the metrics of a cell render, in set order."""
+    used = set()
+    if "beam" in config.metrics and pattern_algorithm is not None:
+        used.update(pattern_algorithm.channels)
+    if "snr" in config.metrics:
+        used.update(_UNION_CHANNELS + (CALIBRATION_CHANNEL,))
+    if "ple" in config.metrics or "spectral" in config.metrics:
+        used.update(CHANNELS_LOCALIZATION)
+    return tuple(c for c in hrir_set.channels if c in used)
+
+
 def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
                    algorithms: dict, pattern_algorithm, method_name: str,
                    count: int) -> tuple:
@@ -270,19 +290,23 @@ def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
     (None unless PLE is measured)."""
     method = ReproductionMethod(method_name)
     array = build_array(count, radius=config.array_radius)
+    # One bank for every metric of the cell; each renders only its own
+    # channels of it.
+    bank = ReceiverBank(array, hrir_set, ctx.pose,
+                        _cell_channels(config, hrir_set, pattern_algorithm))
     out = {}
     ple = None
     if "beam" in config.metrics and pattern_algorithm is None:
         out["beam"] = np.full(len(ctx.grid), np.nan)
     elif "beam" in config.metrics:
-        pat = beam_pattern(pattern_algorithm, method, array, hrir_set,
+        pat = beam_pattern(pattern_algorithm, method, bank, hrir_set,
                            ctx.pose, ctx.grid,
                            probe_duration=config.pattern_probe_duration,
                            seed=config.seed)
         # The published 5.7 dB criterion refers to the root-sum-of-squares.
         out["beam"] = beam_error(ctx.ref_pattern, pat, normalized=False)
     if "snr" in config.metrics:
-        stems = render_scene_stems(ctx.scene, method, array, hrir_set,
+        stems = render_scene_stems(ctx.scene, method, bank, hrir_set,
                                    ctx.pose, _UNION_CHANNELS)
         for name, alg in algorithms.items():
             if alg is None:
@@ -293,13 +317,13 @@ def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
                                     input_snrs=config.input_snrs)
             out[("snr", name)] = snr_error(ctx.ref_sweeps[name], sweep)
     if "ple" in config.metrics or "spectral" in config.metrics:
-        bank = ReceiverBank(array, hrir_set, ctx.pose, CHANNELS_LOCALIZATION)
+        ear_bank = bank.select(CHANNELS_LOCALIZATION)
         test_doas = []
         distances = []
         for az in PLE_TARGET_AZIMUTHS:
             src = VirtualSource(ctx.probe,
                                 Position2D.from_polar(az, config.array_radius))
-            buf = render_source(method, bank, src)
+            buf = render_source(method, ear_bank, src)
             if "ple" in config.metrics:
                 test_doas.append(localize(buf, ctx.lookup).fine_azimuth)
             if "spectral" in config.metrics:
@@ -342,7 +366,8 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     # filter would dominate the pattern differences at all frequencies.
     pattern_algorithm = None
     if "beam" in config.metrics and design is not None:
-        pattern_algorithm = MvdrCoreBeamformer(design)
+        pattern_algorithm = _make_algorithms(
+            hrir_set, ["beamformer_core"], design)["beamformer_core"]
     lookup = None
     if "ple" in config.metrics:
         lookup = build_cue_lookup(hrir_set, seed=config.seed + 2)

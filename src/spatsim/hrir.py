@@ -229,10 +229,7 @@ def translate_listener(hrir_set: HrirSet, pose: ListenerPose,
     gain = hrir_set.distance / d
     delay_s = (d - hrir_set.distance) * hrir_set.sample_rate / speed_of_sound
     out_len = hrir_set.ir_length + TRANSLATE_HEADROOM
-    out = np.empty((irs.shape[0], out_len))
-    for c in range(irs.shape[0]):
-        out[c] = gain * delay_signal(irs[c], delay_s, out_len=out_len)
-    return out
+    return gain * delay_signal(irs, delay_s, out_len=out_len)
 
 
 MANIFEST_NAME = "manifest.yaml"

@@ -11,7 +11,7 @@ from .binsim import (AudioBuffer, RenderOutput, noise_scale,
                      render_reference, render_source, ReceiverBank,
                      VirtualSource)
 from .dsp import erb_bandwidth, erb_number, erb_to_hz
-from .geometry import ListenerPose, Position2D, SpeakerArray
+from .geometry import ListenerPose, Position2D
 from .hrir import HrirSet
 from .signals import white_noise
 
@@ -58,19 +58,27 @@ def make_third_octave_grid(f_min: float = 100.0,
 def third_octave_analyze(samples: np.ndarray, sample_rate: int,
                          grid: BandGrid) -> np.ndarray:
     """Band powers by spectral integration; the sum over a full-range grid
-    equals the total signal power (Parseval)."""
+    equals the total signal power (Parseval).
+
+    Band b holds the bins whose frequency lies in [edges[b], edges[b + 1]),
+    a contiguous bin range, so the PSD is formed only over the grid's span
+    and each band sums one slice of it.
+    """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     n = x.shape[1]
-    spec = np.fft.rfft(x, axis=1)
-    psd = np.abs(spec) ** 2 / n ** 2
-    psd[:, 1:] *= 2.0
-    if n % 2 == 0:
-        psd[:, -1] /= 2.0
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    bounds = np.searchsorted(np.fft.rfftfreq(n, 1.0 / sample_rate),
+                             grid.edges)
+    lo = bounds[0]
+    # Fortran order, the layout of a boolean-mask copy psd[:, mask]: a band
+    # sum then adds the bins of all rows in the same order as that copy's.
+    psd = np.asfortranarray(
+        np.abs(np.fft.rfft(x, axis=1)[:, lo:bounds[-1]]) ** 2 / n ** 2)
+    # One-sided spectrum: every bin but DC and an even length's Nyquist bin
+    # stands for two.
+    psd[:, max(1, lo) - lo:(n - 1) // 2 + 1 - lo] *= 2.0
     powers = np.empty((x.shape[0], len(grid)))
     for b in range(len(grid)):
-        sel = (freqs >= grid.edges[b]) & (freqs < grid.edges[b + 1])
-        powers[:, b] = psd[:, sel].sum(axis=1)
+        powers[:, b] = psd[:, bounds[b] - lo:bounds[b + 1] - lo].sum(axis=1)
     return powers
 
 
@@ -98,19 +106,21 @@ def _algorithm_io_powers(algorithm, rendered: AudioBuffer,
     return p_in, p_out
 
 
-def beam_pattern(algorithm, method, array: SpeakerArray, hrir_set: HrirSet,
-                 pose: ListenerPose, grid: BandGrid,
+def beam_pattern(algorithm, method, bank: ReceiverBank | None,
+                 hrir_set: HrirSet, pose: ListenerPose, grid: BandGrid,
                  probe_duration: float = 1.0, seed: int = 0,
                  source_distance: float | None = None,
                  azimuths: np.ndarray = PATTERN_AZIMUTHS) -> BeamPattern:
     """Band gains versus probe azimuth through the full reproduction and
-    processing chain. `method=None` measures the free-field reference."""
+    processing chain. `method=None` measures the free-field reference (no
+    bank); otherwise the probes go through the algorithm's channels of
+    `bank`."""
     probe = white_noise(probe_duration, hrir_set.sample_rate, seed=seed)
     if source_distance is None:
-        source_distance = array.radius if array is not None else hrir_set.distance
-    bank = None
+        source_distance = (bank.array.radius if bank is not None
+                           else hrir_set.distance)
     if method is not None:
-        bank = ReceiverBank(array, hrir_set, pose, algorithm.channels)
+        bank = bank.select(algorithm.channels)
     gains = np.empty((len(azimuths), len(grid)))
     for i, az in enumerate(azimuths):
         src = VirtualSource(probe, Position2D.from_polar(az, source_distance))

@@ -7,6 +7,7 @@ reconstruction on unmodified frames.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class StftProcessor:
@@ -44,11 +45,8 @@ class StftProcessor:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         pad = self.window_size
         xp = np.pad(x, ((0, 0), (pad, pad)))
-        n = xp.shape[1]
-        frames = 1 + (n - self.window_size) // self.hop
-        idx = (np.arange(self.window_size)[None, :]
-               + self.hop * np.arange(frames)[:, None])
-        return np.fft.rfft(xp[:, idx] * self.window, axis=-1)
+        frames = sliding_window_view(xp, self.window_size, axis=-1)
+        return np.fft.rfft(frames[:, ::self.hop] * self.window, axis=-1)
 
     def synthesize(self, spec: np.ndarray, n_samples: int) -> np.ndarray:
         """Inverse of analyze; returns (channels, n_samples)."""

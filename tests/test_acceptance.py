@@ -77,11 +77,12 @@ def identity_data(hrir_set, mvdr_design, lookup):
     rendering must coincide with the free-field reference."""
     t0 = time.time()
     array = build_array(72, 3.0)
+    bank = ReceiverBank(array, hrir_set, CENTER, hrir_set.channels)
     core = MvdrCoreBeamformer(mvdr_design)
 
     ref_pat = beam_pattern(core, None, None, hrir_set, CENTER, GRID,
                            probe_duration=0.5)
-    nsp_pat = beam_pattern(core, ReproductionMethod.NSP, array, hrir_set,
+    nsp_pat = beam_pattern(core, ReproductionMethod.NSP, bank, hrir_set,
                            CENTER, GRID, probe_duration=0.5)
     beam_err = float(beam_error(ref_pat, nsp_pat, normalized=False).max())
 
@@ -95,7 +96,7 @@ def identity_data(hrir_set, mvdr_design, lookup):
     scene = SceneSpec(target=target, noises=noises)
     stems_ref = render_scene_stems(scene, None, None, hrir_set, CENTER,
                                    CHANNELS_BEAMFORMER)
-    stems_nsp = render_scene_stems(scene, ReproductionMethod.NSP, array,
+    stems_nsp = render_scene_stems(scene, ReproductionMethod.NSP, bank,
                                    hrir_set, CENTER, CHANNELS_BEAMFORMER)
     snr_err = 0.0
     for name, alg in _make_algorithms(hrir_set, ALGORITHM_NAMES).items():
@@ -106,7 +107,7 @@ def identity_data(hrir_set, mvdr_design, lookup):
         snr_err = max(snr_err, float(np.nanmax(snr_error(ref, test))))
 
     probe = speech_shaped_noise(0.5, RATE, seed=60)
-    bank = ReceiverBank(array, hrir_set, CENTER, CHANNELS_LOCALIZATION)
+    ear_bank = bank.select(CHANNELS_LOCALIZATION)
     ref_doas = []
     nsp_doas = []
     distances = []
@@ -114,7 +115,7 @@ def identity_data(hrir_set, mvdr_design, lookup):
         src = VirtualSource(probe, Position2D.from_polar(az, 3.0))
         ref_buf = render_reference(src, hrir_set, CENTER,
                                    CHANNELS_LOCALIZATION)
-        nsp_buf = render_source(ReproductionMethod.NSP, bank, src)
+        nsp_buf = render_source(ReproductionMethod.NSP, ear_bank, src)
         ref_doas.append(localize(ref_buf, lookup).fine_azimuth)
         nsp_doas.append(localize(nsp_buf, lookup).fine_azimuth)
         distances.append(spectral_distance(ref_buf.samples[0],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spatsim.binsim import (AudioBuffer, ReceiverBank, SceneSpec,
                             VirtualSource, calibrate_stems,
@@ -7,7 +8,7 @@ from spatsim.binsim import (AudioBuffer, ReceiverBank, SceneSpec,
                             render_source, render_speaker_feeds,
                             render_to_receiver, select_channels)
 from spatsim.geometry import ListenerPose, Position2D, build_array
-from spatsim.hrir import CHANNELS_LOCALIZATION
+from spatsim.hrir import CHANNELS, CHANNELS_LOCALIZATION
 from spatsim.panner import ReproductionMethod
 from spatsim.signals import speech_shaped_noise, white_noise
 
@@ -167,6 +168,28 @@ def test_mix_scene_additivity_and_calibration(hrir_set):
     assert snr == pytest.approx(0.0, abs=0.01)
 
 
+def test_scene_stems_sum_the_source_renders(hrir_set):
+    scene = _tiny_scene(n_noise=3)
+    pose = ListenerPose.lateral(0.1)
+    bank = ReceiverBank(build_array(8, 3.0), hrir_set, pose, CHANNELS)
+    stems = render_scene_stems(scene, ReproductionMethod.VBAP, bank,
+                               hrir_set, pose, ("in_ear_R",))
+    own = bank.select(("in_ear_R", "in_ear_L"))
+    target = render_source(ReproductionMethod.VBAP, own, scene.target).samples
+    parts = [render_source(ReproductionMethod.VBAP, own, VirtualSource(
+        src.signal * 10.0 ** (src.level_offset_db / 20.0),
+        src.position)).samples for src in scene.noises]
+    n_len = max(p.shape[1] for p in [target] + parts)
+    assert len({p.shape[1] for p in [target] + parts}) > 1
+    noise = np.zeros((2, n_len))
+    for part in parts:
+        noise[:, :part.shape[1]] += part
+    assert np.array_equal(stems.target_only.samples[0],
+                          np.pad(target[0], (0, n_len - target.shape[1])))
+    assert np.array_equal(stems.noise_only.samples[0], noise[0])
+    assert stems.metadata["noise_power"] == float(np.mean(noise[1] ** 2))
+
+
 def test_calibrate_stems_scaling(hrir_set):
     stems = render_scene_stems(_tiny_scene(), None, None, hrir_set, CENTER,
                                CHANNELS_LOCALIZATION)
@@ -206,3 +229,52 @@ def test_time_invariance(hrir_set):
     scale = np.abs(a.samples).max()
     assert np.abs(b.samples[:, shift:shift + n]
                   - a.samples[:, :n]).max() < 1e-9 * scale
+
+
+def test_bank_select_equals_bank_for_the_channels(hrir_set):
+    arr = build_array(6, 3.0)
+    pose = ListenerPose.lateral(0.5)
+    full = ReceiverBank(arr, hrir_set, pose, CHANNELS)
+    channels = ("ha_R_rear", "in_ear_L", "ha_L_front")
+    own = ReceiverBank(arr, hrir_set, pose, channels)
+    sub = full.select(channels)
+    assert sub.channels == channels and full.channels == CHANNELS
+    assert np.array_equal(sub.irs, own.irs)
+    src = VirtualSource(white_noise(0.1, RATE, seed=9),
+                        Position2D.from_polar(75.0, 3.0))
+    for method in ReproductionMethod:
+        assert np.array_equal(render_source(method, sub, src).samples,
+                              render_source(method, own, src).samples)
+    assert own.select(channels) is own
+    with pytest.raises(ValueError):
+        own.select(("in_ear_R",))
+
+
+@pytest.fixture(scope="module")
+def lateral_bank(hrir_set):
+    return ReceiverBank(build_array(8, 3.0), hrir_set,
+                        ListenerPose.lateral(0.1), CHANNELS_LOCALIZATION)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(method=st.sampled_from(list(ReproductionMethod)),
+       azimuth=st.floats(0.0, 360.0, exclude_max=True),
+       distance=st.floats(1.0, 6.0),
+       a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
+       seed=st.integers(0, 2 ** 16))
+def test_render_source_is_linear(lateral_bank, method, azimuth, distance, a,
+                                 b, seed):
+    x = white_noise(0.02, RATE, seed=seed)
+    y = speech_shaped_noise(0.02, RATE, seed=seed + 1)
+    pos = Position2D.from_polar(azimuth, distance)
+
+    def render(signal):
+        return render_source(method, lateral_bank,
+                             VirtualSource(signal, pos)).samples
+
+    combined = render(a * x + b * y)
+    expected = a * render(x) + b * render(y)
+    scale = (abs(a) * np.abs(render(x)).max()
+             + abs(b) * np.abs(render(y)).max())
+    assert np.abs(combined - expected).max() <= 1e-12 * scale

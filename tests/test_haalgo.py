@@ -12,6 +12,7 @@ from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
 from spatsim.hrir import (CHANNELS, CHANNELS_ADM, CHANNELS_BEAMFORMER,
                           CHANNELS_BINAURAL_NR, CHANNELS_SINGLE_NR,
                           interpolate_direction)
+from spatsim.metrics import snr_improvement
 from spatsim.signals import make_default_scene, speech_shaped_noise, white_noise
 from spatsim.stft import StftProcessor
 
@@ -305,6 +306,40 @@ def test_shadow_additivity_all_algorithms(scene_stems, mvdr_design):
         stems = select_channels(scene_stems, channels)
         shadow = algo.shadow(stems)
         assert _additivity(shadow) < 1e-6, algo.name
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CoherenceNoiseReduction maps an exactly zero cross spectrum to the "
+    "coherent vector 1.0 but gives round-off-level bins a random phase, and "
+    "the 40 ms smoother carries the difference into the first signal frames"))
+def test_coherence_nr_ignores_round_off_before_the_onset(scene_stems,
+                                                         band_grid):
+    """Free-field stems are exact zeros until the sound arrives (about 390
+    samples here); noise at 1e-16 of full scale there should not move the
+    SNR improvement, just as it does not later in the signal."""
+    stems = select_channels(scene_stems, CHANNELS_BINAURAL_NR)
+    assert np.all(stems.mixture.samples[:, :380] == 0.0)
+    rng = np.random.default_rng(5)
+
+    def with_round_off(start):
+        parts = []
+        for stem in (stems.target_only, stems.noise_only):
+            x = stem.samples.copy()
+            x[:, start:start + 400] += (1e-16 * np.abs(x).max()
+                                        * rng.standard_normal((2, 400)))
+            parts.append(x)
+        return RenderOutput(mixture=AudioBuffer(RATE, parts[0] + parts[1]),
+                            target_only=AudioBuffer(RATE, parts[0]),
+                            noise_only=AudioBuffer(RATE, parts[1]),
+                            channels=stems.channels,
+                            metadata=dict(stems.metadata))
+
+    algo = CoherenceNoiseReduction()
+    base = snr_improvement(algo, stems, band_grid).delta_r
+    for start in (20000, 0):
+        moved = snr_improvement(algo, with_round_off(start),
+                                band_grid).delta_r - base
+        assert np.nanmax(np.abs(moved)) < 1e-9, start
 
 
 def test_shadow_rejects_inconsistent_stems(scene_stems):

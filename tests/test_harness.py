@@ -11,6 +11,10 @@ from spatsim.harness import (CriterionTable, ErrorSurface, PleCell,
                              criterion_match_count, load_surfaces_csv, report,
                              run_sweep, usable_bandwidth, write_manifest,
                              write_surfaces_csv)
+from spatsim.binsim import (CALIBRATION_CHANNEL, ReceiverBank,
+                            VirtualSource, render_source)
+from spatsim.geometry import Position2D
+from spatsim.hrir import CHANNELS_LOCALIZATION
 from spatsim.metrics import make_third_octave_grid
 
 
@@ -227,6 +231,76 @@ def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
     good = ple.errors[np.isfinite(ple.errors)]
     assert result.surface("ple", "nsp", 0.0).values[0] == pytest.approx(
         np.sqrt(np.mean(good ** 2)))
+
+
+def test_algorithms_run_at_the_sweep_sample_rate():
+    config = SweepConfig.desk_scale(sample_rate=16000)
+    hrir_set = harness._load_hrirs(config)
+    assert hrir_set.sample_rate == 16000
+    names = harness.ALGORITHM_NAMES + ("beamformer_core",)
+    algorithms = harness._make_algorithms(hrir_set, names)
+    assert set(algorithms) == set(names)
+    for algorithm in algorithms.values():
+        assert algorithm.stft.sample_rate == 16000
+
+
+def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
+                                                    monkeypatch):
+    """_evaluate_cell renders every metric through one bank; the values
+    equal those of banks built for each metric's own channels."""
+    config = SweepConfig.desk_scale(
+        speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
+        algorithms=("adm", "single_nr"), metrics=("beam", "snr", "spectral"),
+        input_snrs=(-5.0, 5.0), scene_duration=0.5, n_noise_sources=3,
+        pattern_probe_duration=0.1)
+    pose = config.poses()[0]
+    grid = config.band_grid()
+    algorithms = harness._make_algorithms(hrir_set, config.algorithms)
+    core = harness.MvdrCoreBeamformer(mvdr_design)
+    ctx = harness._PoseContext(config, hrir_set, pose, algorithms, grid,
+                               None, core)
+    built = []
+    real_init = harness.ReceiverBank.__init__
+
+    def counting_init(self, array, hs, ps, channels):
+        built.append(tuple(channels))
+        real_init(self, array, hs, ps, channels)
+
+    monkeypatch.setattr(harness.ReceiverBank, "__init__", counting_init)
+    values, ple = harness._evaluate_cell(config, hrir_set, ctx, algorithms,
+                                         core, "vbap", 6)
+    assert ple is None
+    assert built == [hrir_set.channels]
+    monkeypatch.undo()
+
+    method = harness.ReproductionMethod.VBAP
+    array = harness.build_array(6, radius=config.array_radius)
+    pattern = harness.beam_pattern(
+        core, method, ReceiverBank(array, hrir_set, pose, core.channels),
+        hrir_set, pose, grid, probe_duration=config.pattern_probe_duration,
+        seed=config.seed)
+    assert np.array_equal(values["beam"], harness.beam_error(
+        ctx.ref_pattern, pattern, normalized=False))
+    snr_channels = harness._UNION_CHANNELS + (CALIBRATION_CHANNEL,)
+    stems = harness.render_scene_stems(
+        ctx.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
+        hrir_set, pose, harness._UNION_CHANNELS)
+    for name, alg in algorithms.items():
+        sweep = harness.snr_improvement(
+            alg, harness.select_channels(stems, alg.channels), grid,
+            input_snrs=config.input_snrs)
+        assert np.array_equal(values[("snr", name)],
+                              harness.snr_error(ctx.ref_sweeps[name], sweep),
+                              equal_nan=True)
+    ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
+    distances = []
+    for az in harness.PLE_TARGET_AZIMUTHS:
+        src = VirtualSource(ctx.probe,
+                            Position2D.from_polar(az, config.array_radius))
+        buf = render_source(method, ear_bank, src)
+        distances.append(harness.spectral_distance(
+            ctx.ref_renders[az].samples[0], buf.samples[0], buf.sample_rate))
+    assert values["spectral"] == float(np.mean(distances))
 
 
 def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):

@@ -94,6 +94,38 @@ def test_band_analysis_multichannel_shape():
     assert np.all(p > 0)
 
 
+def _band_powers_by_mask(x, rate, grid):
+    """third_octave_analyze over the full one-sided PSD with one boolean
+    bin mask per band."""
+    x = np.atleast_2d(x)
+    n = x.shape[1]
+    psd = np.abs(np.fft.rfft(x, axis=1)) ** 2 / n ** 2
+    psd[:, 1:] *= 2.0
+    if n % 2 == 0:
+        psd[:, -1] /= 2.0
+    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    return np.stack([psd[:, (freqs >= lo) & (freqs < hi)].sum(axis=1)
+                     for lo, hi in zip(grid.edges[:-1], grid.edges[1:])],
+                    axis=1)
+
+
+def test_band_analysis_matches_mask_oracle():
+    rng = np.random.default_rng(21)
+    grids = (make_third_octave_grid(), make_third_octave_grid(10.0, 20000.0))
+    for shape in ((1, 48000), (2, 53381), (6, 53380), (3, 101), (1, 7)):
+        x = rng.standard_normal(shape)
+        for grid in grids:
+            expected = _band_powers_by_mask(x, RATE, grid)
+            assert np.allclose(third_octave_analyze(x, RATE, grid), expected,
+                               rtol=1e-13, atol=0.0)
+    # A grid reaching past the Nyquist frequency of a short signal.
+    x = rng.standard_normal((2, 64))
+    grid = make_third_octave_grid(100.0, 20000.0)
+    assert np.allclose(third_octave_analyze(x, 16000, grid),
+                       _band_powers_by_mask(x, 16000, grid),
+                       rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Beam error
 
