@@ -115,47 +115,12 @@ class ReceiverBank:
                             out_len=_delayed_len(summed.shape[1], delay))
 
 
-def render_speaker_feeds(method: ReproductionMethod, array: SpeakerArray,
-                         source: VirtualSource, sample_rate: int,
-                         speed_of_sound: float = SPEED_OF_SOUND) -> AudioBuffer:
-    """Loudspeaker driving signals for one source: w_k/||r|| at the source delay."""
-    weights = method_weights(method, array, source.position,
-                             speed_of_sound=speed_of_sound)
-    delay = weights.source_delay * sample_rate
-    x = np.asarray(source.signal, dtype=float)
-    out_len = _delayed_len(len(x), delay)
-    feeds = np.zeros((array.count, out_len))
-    delayed = None
-    for k, w in enumerate(weights.weights):
-        if w == 0.0:
-            continue
-        if delayed is None:
-            delayed = delay_signal(x, delay, out_len=out_len)
-        feeds[k] = (w * weights.source_attenuation) * delayed
-    return AudioBuffer(sample_rate=sample_rate, samples=feeds)
-
-
-def render_to_receiver(feeds: AudioBuffer, bank: ReceiverBank) -> AudioBuffer:
-    """Receiver-channel signals: per channel, sum of feeds convolved with the
-    speaker-to-listener IRs."""
-    if feeds.channels != bank.array.count:
-        raise ValueError("feed channel count does not match speaker count")
-    x = feeds.samples
-    active = np.flatnonzero(np.any(x != 0.0, axis=1))
-    n_out = x.shape[1] + bank.irs.shape[2] - 1
-    out = np.zeros((len(bank.channels), n_out))
-    for k in active:
-        out += fftconvolve(x[k][None, :], bank.irs[k], axes=1)
-    return AudioBuffer(sample_rate=feeds.sample_rate, samples=out)
-
-
 def render_source(method: ReproductionMethod, bank: ReceiverBank,
                   source: VirtualSource,
                   speed_of_sound: float = SPEED_OF_SOUND) -> AudioBuffer:
     """Render one source through a reproduction method to the receiver
-    channels, using the precomputed effective IR (equivalent to
-    render_speaker_feeds + render_to_receiver, but one convolution per
-    channel)."""
+    channels: one convolution per channel with the effective IR, the
+    speaker sum of the driving weights times the speaker-to-receiver IRs."""
     weights = method_weights(method, bank.array, source.position,
                              speed_of_sound=speed_of_sound)
     eff = bank.weighted_ir(weights)
@@ -205,8 +170,7 @@ def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
     `method=None` renders free field (no bank); otherwise the sources go
     through `bank`, which must hold `channels` and the calibration channel,
     and only those are rendered. Rendering is linear, so SNR variants can
-    rescale the noise stem without re-rendering (see noise_scale and
-    calibrate_stems).
+    rescale the noise stem without re-rendering (see noise_scale).
     """
     channels = tuple(channels)
     render_channels = channels
@@ -268,17 +232,3 @@ def noise_scale(stems: RenderOutput, nominal_input_snr: float) -> float:
     if p_t <= 0.0 or p_n <= 0.0:
         raise ValueError("cannot calibrate SNR: zero-power stem")
     return np.sqrt(p_t / p_n) * 10.0 ** (-nominal_input_snr / 20.0)
-
-
-def calibrate_stems(stems: RenderOutput, nominal_input_snr: float) -> RenderOutput:
-    """Scale the noise stem so the calibration-channel SNR hits the nominal value."""
-    scale = noise_scale(stems, nominal_input_snr)
-    rate = stems.mixture.sample_rate
-    noise = AudioBuffer(rate, stems.noise_only.samples * scale)
-    target = stems.target_only
-    meta = dict(stems.metadata)
-    meta.update(noise_scale=scale, nominal_input_snr=nominal_input_snr)
-    return RenderOutput(
-        mixture=AudioBuffer(rate, target.samples + noise.samples),
-        target_only=target, noise_only=noise,
-        channels=stems.channels, metadata=meta)

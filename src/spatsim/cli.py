@@ -36,6 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="built-in configuration preset")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="output directory")
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes that measure the cells (default: the "
+                        "CPUs available); 1 runs them in this process")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("contour", help="extract a criterion contour from a "
@@ -107,7 +110,7 @@ def _cmd_sweep(args) -> int:
             print(f"[{time.time() - t0:7.1f}s] {method} N={count} "
                   f"pose={pose:g} m", flush=True)
 
-    result = run_sweep(config, progress=progress)
+    result = run_sweep(config, progress=progress, workers=args.workers)
     write_surfaces_csv(result, out_dir / "surfaces.csv")
     write_manifest(result, out_dir / "manifest.yaml")
     (out_dir / "report.txt").write_text(report(result) + "\n")

@@ -422,18 +422,8 @@ class SingleChannelNoiseReduction(SpectralGainAlgorithm):
     def _aux(self, noise_spec: np.ndarray) -> dict:
         return {"noise_spec": noise_spec[0]}
 
-    def process_with_oracle(self, buf: AudioBuffer,
-                            oracle_noise: AudioBuffer) -> AudioBuffer:
-        if buf.samples.shape != oracle_noise.samples.shape:
-            raise ValueError("oracle noise stem must match the input shape")
-        spec = self.stft.analyze(buf.samples)
-        op = self._operation(spec,
-                             self._aux(self.stft.analyze(oracle_noise.samples)))
-        return self._synthesize(op, spec, buf.samples.shape[1],
-                                buf.sample_rate)
-
     def process(self, buf: AudioBuffer) -> AudioBuffer:
-        raise TypeError("oracle algorithm: use process_with_oracle or shadow")
+        raise TypeError("oracle algorithm: use shadow")
 
     def _operation(self, mix_spec: np.ndarray, aux: dict) -> np.ndarray:
         noise_spec = aux.get("noise_spec")

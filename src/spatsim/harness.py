@@ -4,11 +4,16 @@ criteria, extracts threshold contours, and writes CSV/report outputs."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import math
+import multiprocessing
+import os
 import traceback
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -26,9 +31,9 @@ from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
                    DEFAULT_HEAD_RADIUS, HrirSet, load_hrir_set,
                    synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
-from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, beam_error, beam_pattern,
-                      make_third_octave_grid, snr_error, snr_improvement,
-                      spectral_distance)
+from .metrics import (BandGrid, BeamPattern, NOMINAL_INPUT_SNRS, beam_error,
+                      beam_pattern, make_third_octave_grid, snr_error,
+                      snr_improvement, spectral_distance)
 from .panner import ReproductionMethod, aliasing_limit
 from .signals import make_default_scene, speech_shaped_noise
 from .stft import StftProcessor
@@ -226,130 +231,212 @@ def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
     return algos
 
 
-class _PoseContext:
-    """Per-pose reference data shared by every (method, N) cell."""
+@dataclass
+class _Measured:
+    """Raw measurements of one unit of work: a pose's free-field reference or
+    one (method, N) cell at that pose."""
+
+    pattern: BeamPattern | None = None
+    sweeps: dict = field(default_factory=dict)      # algorithm -> SnrSweep
+    # Per PLE target: the fine azimuth estimate, and for a cell the
+    # spectral distance from the free-field render.
+    azimuths: list = field(default_factory=list)
+    distances: list = field(default_factory=list)
+
+
+class _Sweep:
+    """Everything the units of a sweep share, built once before the workers
+    fork: the algorithms, the cue lookup, the scene, the PLE probe and its
+    free-field renders per pose."""
 
     def __init__(self, config: SweepConfig, hrir_set: HrirSet,
-                 pose: ListenerPose, algorithms: dict, grid: BandGrid,
-                 lookup, pattern_algorithm):
-        self.pose = pose
-        self.grid = grid
+                 algorithms: dict, pattern_algorithm, lookup):
+        self.config = config
+        self.hrir_set = hrir_set
+        self.grid = config.band_grid()
+        self.algorithms = algorithms
+        self.pattern_algorithm = pattern_algorithm
         self.lookup = lookup
-        scene = make_default_scene(config.scene_duration, config.sample_rate,
-                                   n_noise=config.n_noise_sources,
-                                   seed=config.seed)
-        self.scene = scene
-        self.ref_sweeps = {}
-        if "snr" in config.metrics:
-            stems = render_scene_stems(scene, None, None, hrir_set, pose,
-                                       _UNION_CHANNELS)
-            for name, alg in algorithms.items():
-                if alg is None:
-                    continue
-                sub = select_channels(stems, alg.channels)
-                self.ref_sweeps[name] = snr_improvement(
-                    alg, sub, grid, input_snrs=config.input_snrs)
-        self.ref_pattern = None
+        self.poses = dict(zip(config.pose_offsets, config.poses()))
+        used = set()
         if pattern_algorithm is not None:
-            self.ref_pattern = beam_pattern(
-                pattern_algorithm, None, None, hrir_set, pose, grid,
-                probe_duration=config.pattern_probe_duration, seed=config.seed)
-        self.ref_doas = None
-        self.probe = speech_shaped_noise(1.0, config.sample_rate,
-                                         seed=config.seed + 1)
+            used.update(pattern_algorithm.channels)
+        self.scene = None
+        if "snr" in config.metrics:
+            used.update(_UNION_CHANNELS + (CALIBRATION_CHANNEL,))
+            self.scene = make_default_scene(
+                config.scene_duration, config.sample_rate,
+                n_noise=config.n_noise_sources, seed=config.seed)
+        self.ref_renders = {}
         if "ple" in config.metrics or "spectral" in config.metrics:
-            self.ref_renders = {}
-            self.ref_doas = []
-            for az in PLE_TARGET_AZIMUTHS:
-                src = VirtualSource(self.probe,
-                                    Position2D.from_polar(az, config.array_radius))
-                buf = render_reference(src, hrir_set, pose,
-                                       CHANNELS_LOCALIZATION)
-                self.ref_renders[az] = buf
-                if "ple" in config.metrics:
-                    self.ref_doas.append(localize(buf, lookup).fine_azimuth)
+            used.update(CHANNELS_LOCALIZATION)
+            self.probe = speech_shaped_noise(1.0, config.sample_rate,
+                                             seed=config.seed + 1)
+            self.ref_renders = {
+                offset: [render_reference(self._probe_source(az), hrir_set,
+                                          pose, CHANNELS_LOCALIZATION)
+                         for az in PLE_TARGET_AZIMUTHS]
+                for offset, pose in self.poses.items()}
+        # The receiver channels the metrics of a cell render, in set order.
+        self.channels = tuple(c for c in hrir_set.channels if c in used)
 
+    def _probe_source(self, azimuth: float) -> VirtualSource:
+        return VirtualSource(self.probe, Position2D.from_polar(
+            azimuth, self.config.array_radius))
 
-def _cell_channels(config: SweepConfig, hrir_set: HrirSet,
-                   pattern_algorithm) -> tuple:
-    """The receiver channels the metrics of a cell render, in set order."""
-    used = set()
-    if "beam" in config.metrics and pattern_algorithm is not None:
-        used.update(pattern_algorithm.channels)
-    if "snr" in config.metrics:
-        used.update(_UNION_CHANNELS + (CALIBRATION_CHANNEL,))
-    if "ple" in config.metrics or "spectral" in config.metrics:
-        used.update(CHANNELS_LOCALIZATION)
-    return tuple(c for c in hrir_set.channels if c in used)
-
-
-def _evaluate_cell(config: SweepConfig, hrir_set: HrirSet, ctx: _PoseContext,
-                   algorithms: dict, pattern_algorithm, method_name: str,
-                   count: int) -> tuple:
-    """All metric values for one (method, N, pose) cell, and its PleCell
-    (None unless PLE is measured)."""
-    method = ReproductionMethod(method_name)
-    array = build_array(count, radius=config.array_radius)
-    # One bank for every metric of the cell; each renders only its own
-    # channels of it.
-    bank = ReceiverBank(array, hrir_set, ctx.pose,
-                        _cell_channels(config, hrir_set, pattern_algorithm))
-    out = {}
-    ple = None
-    if "beam" in config.metrics and pattern_algorithm is None:
-        out["beam"] = np.full(len(ctx.grid), np.nan)
-    elif "beam" in config.metrics:
-        pat = beam_pattern(pattern_algorithm, method, bank, hrir_set,
-                           ctx.pose, ctx.grid,
-                           probe_duration=config.pattern_probe_duration,
-                           seed=config.seed)
-        # The published 5.7 dB criterion refers to the root-sum-of-squares.
-        out["beam"] = beam_error(ctx.ref_pattern, pat, normalized=False)
-    if "snr" in config.metrics:
-        stems = render_scene_stems(ctx.scene, method, bank, hrir_set,
-                                   ctx.pose, _UNION_CHANNELS)
-        for name, alg in algorithms.items():
-            if alg is None:
-                out[("snr", name)] = np.full(len(ctx.grid), np.nan)
-                continue
-            sub = select_channels(stems, alg.channels)
-            sweep = snr_improvement(alg, sub, ctx.grid,
-                                    input_snrs=config.input_snrs)
-            out[("snr", name)] = snr_error(ctx.ref_sweeps[name], sweep)
-    if "ple" in config.metrics or "spectral" in config.metrics:
-        ear_bank = bank.select(CHANNELS_LOCALIZATION)
-        test_doas = []
-        distances = []
-        for az in PLE_TARGET_AZIMUTHS:
-            src = VirtualSource(ctx.probe,
-                                Position2D.from_polar(az, config.array_radius))
-            buf = render_source(method, ear_bank, src)
+    def unit(self, method_name: str | None, count: int | None,
+             pose_offset: float) -> _Measured:
+        """The measurements of one cell, or with `method_name=None` of the
+        free-field reference at the pose."""
+        config, hrir_set = self.config, self.hrir_set
+        pose = self.poses[pose_offset]
+        method = bank = None
+        if method_name is not None:
+            method = ReproductionMethod(method_name)
+            # One bank for every metric of the cell; each renders only its
+            # own channels of it.
+            bank = ReceiverBank(build_array(count, radius=config.array_radius),
+                                hrir_set, pose, self.channels)
+        out = _Measured()
+        if self.pattern_algorithm is not None:
+            out.pattern = beam_pattern(
+                self.pattern_algorithm, method, bank, hrir_set, pose,
+                self.grid, probe_duration=config.pattern_probe_duration,
+                seed=config.seed)
+        if self.scene is not None:
+            stems = render_scene_stems(self.scene, method, bank, hrir_set,
+                                       pose, _UNION_CHANNELS)
+            out.sweeps = {
+                name: snr_improvement(
+                    alg, select_channels(stems, alg.channels), self.grid,
+                    input_snrs=config.input_snrs)
+                for name, alg in self.algorithms.items() if alg is not None}
+        refs = self.ref_renders.get(pose_offset, ())
+        if refs and bank is not None:
+            bank = bank.select(CHANNELS_LOCALIZATION)
+        for az, ref in zip(PLE_TARGET_AZIMUTHS, refs):
+            buf = ref
+            if method is not None:
+                buf = render_source(method, bank, self._probe_source(az))
             if "ple" in config.metrics:
-                test_doas.append(localize(buf, ctx.lookup).fine_azimuth)
-            if "spectral" in config.metrics:
-                ref_buf = ctx.ref_renders[az]
-                distances.append(spectral_distance(
-                    ref_buf.samples[0], buf.samples[0], buf.sample_rate))
-        if "ple" in config.metrics:
-            ple = PleCell.from_estimates(test_doas, ctx.ref_doas)
+                out.azimuths.append(localize(buf, self.lookup).fine_azimuth)
+            if "spectral" in config.metrics and method is not None:
+                out.distances.append(spectral_distance(
+                    ref.samples[0], buf.samples[0], buf.sample_rate))
+        return out
+
+    def errors(self, ref: _Measured, test: _Measured) -> tuple:
+        """All metric values of a cell from its and its reference's
+        measurements, and its PleCell (None unless PLE is measured)."""
+        metrics = self.config.metrics
+        nan = np.full(len(self.grid), np.nan)
+        out = {}
+        ple = None
+        if "beam" in metrics:
+            # The published 5.7 dB criterion refers to the root-sum-of-squares.
+            out["beam"] = (nan if test.pattern is None else
+                           beam_error(ref.pattern, test.pattern,
+                                      normalized=False))
+        if "snr" in metrics:
+            for name in self.algorithms:
+                out[("snr", name)] = (
+                    snr_error(ref.sweeps[name], test.sweeps[name])
+                    if name in test.sweeps else nan)
+        if "ple" in metrics:
+            ple = PleCell.from_estimates(test.azimuths, ref.azimuths)
             out["ple"] = ple.value
-        if "spectral" in config.metrics:
-            out["spectral"] = float(np.mean(distances))
-    return out, ple
+        if "spectral" in metrics:
+            out["spectral"] = float(np.mean(test.distances))
+        return out, ple
+
+
+# In a fork worker, the sweep whose units it measures; set by _start_worker.
+_WORKER_SWEEP: _Sweep | None = None
+
+
+def _start_worker(sweep: _Sweep) -> None:
+    global _WORKER_SWEEP
+    _WORKER_SWEEP = sweep
+
+
+def _run_unit(unit: tuple, sweep: _Sweep | None = None) -> tuple:
+    """(unit, measurements, None), or (unit, None, traceback) for a cell
+    that raised; measured by `sweep`, or by the worker's sweep. A failed
+    free-field reference raises: no cell of its pose can be compared
+    against it."""
+    try:
+        return unit, (sweep or _WORKER_SWEEP).unit(*unit), None
+    except Exception:
+        if unit[0] is None:
+            raise
+        return unit, None, traceback.format_exc(limit=3)
+
+
+def _run_units(sweep: _Sweep, units: list, workers: int, progress) -> dict:
+    """Measurements and traceback per unit, with at most `workers` units in
+    flight: on a fork pool, or in this process when `workers` is 1.
+    `progress(cell)` is called as each cell's unit is handed out. A worker
+    that dies breaks the pool, and the sweep raises instead of waiting."""
+    results = {}
+    pending = set()
+
+    def collect(finished):
+        for future in finished:
+            unit, *outcome = future.result()
+            results[unit] = outcome
+
+    if workers == 1:
+        pool = contextlib.nullcontext()
+    else:
+        # Forked workers share the set-up copy-on-write; `sweep` reaches
+        # them without being pickled.
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(sweep,))
+    with pool:
+        for unit in units:
+            if len(pending) == workers:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                collect(finished)
+            if progress is not None and unit[0] is not None:
+                progress(unit)
+            if workers == 1:
+                future = Future()
+                future.set_result(_run_unit(unit, sweep))
+            else:
+                future = pool.submit(_run_unit, unit)
+            pending.add(future)
+        collect(wait(pending).done)
+    return results
 
 
 def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
-              progress=None) -> SweepResult:
+              progress=None, workers: int | None = None) -> SweepResult:
     """Evaluate the whole (method x N x pose) grid.
+
+    Each pose's free-field reference and each cell is one unit of work;
+    `workers` processes (default: the CPUs this process may run on) measure
+    them, forked after the shared set-up, and the errors are formed here in
+    grid order. The result does not depend on `workers`.
 
     Deterministic for a given config; cell failures are recorded and leave
     NaNs in the affected surface instead of aborting the run. So does a
     failed MVDR design, in the beamformer's SNR surfaces and the beam
     surfaces.
     """
+    units = []
+    for offset in config.pose_offsets:
+        units.append((None, None, offset))
+        units += [(method_name, count, offset)
+                  for method_name in config.methods
+                  for count in config.speaker_counts]
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
+    workers = min(workers, max(len(units), 1))
     if hrir_set is None:
         hrir_set = _load_hrirs(config)
-    grid = config.band_grid()
     failures = []
     design = None
     if "beamformer" in config.algorithms or "beam" in config.metrics:
@@ -371,9 +458,11 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     lookup = None
     if "ple" in config.metrics:
         lookup = build_cue_lookup(hrir_set, seed=config.seed + 2)
+    sweep = _Sweep(config, hrir_set, algorithms, pattern_algorithm, lookup)
+    results = _run_units(sweep, units, workers, progress)
 
     n_counts = len(config.speaker_counts)
-    n_bands = len(grid)
+    n_bands = len(sweep.grid)
     store = {}
 
     def _surface_for(metric, method, pose_offset, algorithm=None):
@@ -383,27 +472,22 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
             store[key] = ErrorSurface(
                 metric=metric, method=method, pose_offset=pose_offset,
                 algorithm=algorithm, speaker_counts=config.speaker_counts,
-                band_centers=grid.centers.copy() if banded else None,
+                band_centers=sweep.grid.centers.copy() if banded else None,
                 values=np.full((n_counts, n_bands) if banded else n_counts,
                                np.nan))
         return store[key]
 
     ple_cells = {}
-    for pose_offset, pose in zip(config.pose_offsets, config.poses()):
-        ctx = _PoseContext(config, hrir_set, pose, algorithms, grid, lookup,
-                           pattern_algorithm)
+    for pose_offset in config.pose_offsets:
+        ref, _ = results[(None, None, pose_offset)]
         for method_name in config.methods:
             for i, count in enumerate(config.speaker_counts):
                 cell = (method_name, count, pose_offset)
-                if progress is not None:
-                    progress(cell)
-                try:
-                    values, ple = _evaluate_cell(
-                        config, hrir_set, ctx, algorithms, pattern_algorithm,
-                        method_name, count)
-                except Exception:
-                    failures.append((cell, traceback.format_exc(limit=3)))
+                test, error = results[cell]
+                if error is not None:
+                    failures.append((cell, error))
                     continue
+                values, ple = sweep.errors(ref, test)
                 if ple is not None:
                     ple_cells[cell] = ple
                 for key, val in values.items():
@@ -469,24 +553,6 @@ def usable_bandwidth(surface: ErrorSurface, threshold: float) -> dict:
         j = int(np.argmin(ok)) if not ok.all() else len(ok)
         out[count] = float(freqs[j - 1]) if j > 0 else 0.0
     return out
-
-
-def criterion_match_count(surface: ErrorSurface, threshold: float) -> int:
-    return int(np.sum((surface.values <= threshold)
-                      & np.isfinite(surface.values)))
-
-
-def calibrate_threshold(surface: ErrorSurface,
-                        aliasing_fmax: np.ndarray) -> float:
-    """Threshold whose criterion-match count equals the number of grid
-    points below the aliasing limit (the threshold-setting rule used for
-    the published criteria)."""
-    below = np.sum(surface.band_centers[None, :] <= aliasing_fmax[:, None])
-    vals = np.sort(surface.values[np.isfinite(surface.values)].ravel())
-    if below <= 0:
-        return float(vals[0]) - 1.0 if len(vals) else 0.0
-    below = min(int(below), len(vals))
-    return float(vals[below - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 import yaml
@@ -7,8 +10,7 @@ from spatsim.haalgo import DesignError
 import spatsim.harness as harness
 from spatsim.harness import (CriterionTable, ErrorSurface, PleCell,
                              SweepConfig, SweepResult, aliasing_overlay,
-                             calibrate_threshold, contour_extract,
-                             criterion_match_count, load_surfaces_csv, report,
+                             contour_extract, load_surfaces_csv, report,
                              run_sweep, usable_bandwidth, write_manifest,
                              write_surfaces_csv)
 from spatsim.binsim import (CALIBRATION_CHANNEL, ReceiverBank,
@@ -135,6 +137,23 @@ def test_usable_bandwidth():
     assert bw[12] == pytest.approx(surf.band_centers[-1])
 
 
+def criterion_match_count(surface, threshold):
+    return int(np.sum((surface.values <= threshold)
+                      & np.isfinite(surface.values)))
+
+
+def calibrate_threshold(surface, aliasing_fmax):
+    """Threshold whose criterion-match count equals the number of grid
+    points below the aliasing limit (the threshold-setting rule used for
+    the published criteria)."""
+    below = np.sum(surface.band_centers[None, :] <= aliasing_fmax[:, None])
+    vals = np.sort(surface.values[np.isfinite(surface.values)].ravel())
+    if below <= 0:
+        return float(vals[0]) - 1.0 if len(vals) else 0.0
+    below = min(int(below), len(vals))
+    return float(vals[below - 1])
+
+
 def test_criterion_match_count_and_calibration():
     rng = np.random.default_rng(3)
     surf = _surface(rng.uniform(0.0, 10.0, size=(2, 20)))
@@ -213,7 +232,9 @@ def test_report_empty():
     assert "no surfaces computed" in report(empty)
 
 
-def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
+def _small_ple(monkeypatch):
+    """Three PLE targets and a short-probe cue lookup from -60 to 60
+    degrees; returns the targets."""
     targets = np.array([-30.0, 0.0, 30.0])
     monkeypatch.setattr(harness, "PLE_TARGET_AZIMUTHS", targets)
     real_lookup = harness.build_cue_lookup
@@ -221,6 +242,11 @@ def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
         harness, "build_cue_lookup",
         lambda hs, seed: real_lookup(hs, probe_duration=0.2, seed=seed,
                                      azimuths=np.arange(-60.0, 61.0, 15.0)))
+    return targets
+
+
+def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
+    targets = _small_ple(monkeypatch)
     config = SweepConfig.desk_scale(
         speaker_counts=(8,), pose_offsets=(0.0,), methods=("nsp",),
         metrics=("ple",))
@@ -246,7 +272,7 @@ def test_algorithms_run_at_the_sweep_sample_rate():
 
 def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
                                                     monkeypatch):
-    """_evaluate_cell renders every metric through one bank; the values
+    """A cell's unit renders every metric through one bank; its values
     equal those of banks built for each metric's own channels."""
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
@@ -257,8 +283,8 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
     grid = config.band_grid()
     algorithms = harness._make_algorithms(hrir_set, config.algorithms)
     core = harness.MvdrCoreBeamformer(mvdr_design)
-    ctx = harness._PoseContext(config, hrir_set, pose, algorithms, grid,
-                               None, core)
+    sweep = harness._Sweep(config, hrir_set, algorithms, core, None)
+    ref = sweep.unit(None, None, 0.5)
     built = []
     real_init = harness.ReceiverBank.__init__
 
@@ -267,8 +293,7 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
         real_init(self, array, hs, ps, channels)
 
     monkeypatch.setattr(harness.ReceiverBank, "__init__", counting_init)
-    values, ple = harness._evaluate_cell(config, hrir_set, ctx, algorithms,
-                                         core, "vbap", 6)
+    values, ple = sweep.errors(ref, sweep.unit("vbap", 6, 0.5))
     assert ple is None
     assert built == [hrir_set.channels]
     monkeypatch.undo()
@@ -280,26 +305,27 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
         hrir_set, pose, grid, probe_duration=config.pattern_probe_duration,
         seed=config.seed)
     assert np.array_equal(values["beam"], harness.beam_error(
-        ctx.ref_pattern, pattern, normalized=False))
+        ref.pattern, pattern, normalized=False))
     snr_channels = harness._UNION_CHANNELS + (CALIBRATION_CHANNEL,)
     stems = harness.render_scene_stems(
-        ctx.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
+        sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
         hrir_set, pose, harness._UNION_CHANNELS)
     for name, alg in algorithms.items():
-        sweep = harness.snr_improvement(
+        snr_sweep = harness.snr_improvement(
             alg, harness.select_channels(stems, alg.channels), grid,
             input_snrs=config.input_snrs)
         assert np.array_equal(values[("snr", name)],
-                              harness.snr_error(ctx.ref_sweeps[name], sweep),
+                              harness.snr_error(ref.sweeps[name], snr_sweep),
                               equal_nan=True)
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
     distances = []
-    for az in harness.PLE_TARGET_AZIMUTHS:
-        src = VirtualSource(ctx.probe,
+    for az, ref_buf in zip(harness.PLE_TARGET_AZIMUTHS,
+                           sweep.ref_renders[0.5]):
+        src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
         buf = render_source(method, ear_bank, src)
         distances.append(harness.spectral_distance(
-            ctx.ref_renders[az].samples[0], buf.samples[0], buf.sample_rate))
+            ref_buf.samples[0], buf.samples[0], buf.sample_rate))
     assert values["spectral"] == float(np.mean(distances))
 
 
@@ -321,6 +347,112 @@ def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):
         result.surface("snr", "nsp", 0.0, "single_nr").values).any()
     assert np.isnan(result.surface("snr", "nsp", 0.0, "beamformer").values).all()
     assert np.isnan(result.surface("beam", "nsp", 0.0).values).all()
+
+
+# Two poses x two methods x two counts, every metric, short scenes.
+POOL_GRID = SweepConfig.desk_scale(
+    speaker_counts=(4, 8), pose_offsets=(0.0, 0.5), methods=("nsp", "hoa"),
+    algorithms=("adm", "single_nr"), metrics=harness.METRIC_NAMES,
+    input_snrs=(-5.0, 5.0), scene_duration=0.5, n_noise_sources=3,
+    pattern_probe_duration=0.1)
+
+
+@pytest.fixture(scope="module")
+def pool_runs(hrir_set, tmp_path_factory):
+    """POOL_GRID in this process and on two workers: the result, the
+    surfaces.csv bytes and the cells passed to `progress`, by worker
+    count."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        _small_ple(mp)
+        for workers in (1, 2):
+            cells = []
+            result = run_sweep(POOL_GRID, hrir_set=hrir_set,
+                               progress=cells.append, workers=workers)
+            path = tmp_path_factory.mktemp(f"workers{workers}") / "out.csv"
+            write_surfaces_csv(result, path)
+            runs[workers] = (result, path.read_bytes(), cells)
+    return runs
+
+
+def test_pool_gives_the_surfaces_of_one_process(pool_runs):
+    (serial, serial_csv, _), (pooled, pooled_csv, _) = (pool_runs[1],
+                                                        pool_runs[2])
+    assert serial.failures == [] and pooled.failures == []
+    assert pooled_csv == serial_csv
+    for metric in harness.METRIC_NAMES:
+        assert np.isfinite(serial.surface(metric, "hoa", 0.5, None if metric
+                                          != "snr" else "adm").values).any()
+    assert serial.ple_cells.keys() == pooled.ple_cells.keys()
+    assert len(serial.ple_cells) == 8
+    for cell, ple in serial.ple_cells.items():
+        assert np.array_equal(ple.errors, pooled.ple_cells[cell].errors,
+                              equal_nan=True)
+
+
+def test_progress_once_per_cell_in_grid_order(pool_runs):
+    grid_order = [(method, count, pose)
+                  for pose in POOL_GRID.pose_offsets
+                  for method in POOL_GRID.methods
+                  for count in POOL_GRID.speaker_counts]
+    assert pool_runs[1][2] == grid_order
+    assert pool_runs[2][2] == grid_order
+
+
+def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
+    targets = _small_ple(monkeypatch)
+    real_build_array = harness.build_array
+
+    def failing_build_array(count, radius):
+        if count == 8:
+            raise RuntimeError(f"no array in process {os.getpid()}")
+        return real_build_array(count, radius=radius)
+
+    monkeypatch.setattr(harness, "build_array", failing_build_array)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(4, 8, 12), pose_offsets=(0.0,), methods=("nsp",),
+        metrics=("spectral",))
+    result = run_sweep(config, hrir_set=hrir_set, workers=2)
+    assert [cell for cell, _ in result.failures] == [("nsp", 8, 0.0)]
+    message = result.failures[0][1].splitlines()[-1]
+    assert message.startswith("RuntimeError: no array in process ")
+    assert int(message.split()[-1]) != os.getpid()
+    values = result.surface("spectral", "nsp", 0.0).values
+    assert len(targets) == 3
+    assert np.isfinite(values[[0, 2]]).all() and np.isnan(values[1])
+
+
+def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch):
+    real_stems = harness.render_scene_stems
+
+    def failing_stems(scene, method, *args):
+        if method is None:
+            raise RuntimeError("no free-field stems")
+        return real_stems(scene, method, *args)
+
+    monkeypatch.setattr(harness, "render_scene_stems", failing_stems)
+    with pytest.raises(RuntimeError, match="no free-field stems"):
+        run_sweep(QUICK, hrir_set=hrir_set, workers=2)
+    assert harness._WORKER_SWEEP is None
+
+
+def test_dead_worker_fails_the_sweep(hrir_set, monkeypatch):
+    parent = os.getpid()
+    real_build_array = harness.build_array
+
+    def dying_build_array(count, radius):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_build_array(count, radius=radius)
+
+    monkeypatch.setattr(harness, "build_array", dying_build_array)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(QUICK, hrir_set=hrir_set, workers=2)
+
+
+def test_workers_below_one_rejected(hrir_set):
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(QUICK, hrir_set=hrir_set, workers=0)
 
 
 def test_manifest_records_ple_cells(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import spatsim.metrics as metrics
-from spatsim.binsim import (SceneSpec, VirtualSource, calibrate_stems,
+from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
+from spatsim.binsim import (SceneSpec, VirtualSource, noise_scale,
                             render_scene_stems, select_channels)
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
@@ -268,16 +269,16 @@ def _snr_improvement_per_snr(algorithm, stems, grid, input_snrs):
 
     delta = []
     for snr in input_snrs:
-        cal = calibrate_stems(stems, snr)
-        op = algorithm._operation(
-            stft.analyze(cal.mixture.samples),
-            algorithm._aux(stft.analyze(cal.noise_only.samples)))
+        # The stems calibrated to this SNR: the noise stem rescaled.
+        t_in = stems.target_only.samples
+        n_in = stems.noise_only.samples * noise_scale(stems, snr)
+        op = algorithm._operation(stft.analyze(t_in + n_in),
+                                  algorithm._aux(stft.analyze(n_in)))
         target, noise = (
-            stft.synthesize(algorithm._apply(op, stft.analyze(x.samples)), n)
-            for x in (cal.target_only, cal.noise_only))
+            stft.synthesize(algorithm._apply(op, stft.analyze(x)), n)
+            for x in (t_in, n_in))
         delta.append(band_snr(target, noise)
-                     - band_snr(cal.target_only.samples[ref_idx],
-                                cal.noise_only.samples[ref_idx]))
+                     - band_snr(t_in[ref_idx], n_in[ref_idx]))
     return np.array(delta)
 
 
@@ -354,6 +355,38 @@ def test_spectral_distance_one_weight_for_both_signals(monkeypatch):
                         lambda signals, rate: np.stack(
                             [real((s,), rate)[0] for s in signals]))
     assert spectral_distance(x, y, RATE) == expected
+
+
+def test_erb_excitation_equals_the_uncached_loop():
+    # The cached weight rows give the excitation of building each row per
+    # call, bit for bit, for a cached length and after another length
+    # replaced it.
+    def uncached(signals, sample_rate, f_lo=100.0, f_hi=8000.0,
+                 step_erb=0.5):
+        x = np.stack([np.asarray(s, dtype=float).ravel() for s in signals])
+        n = x.shape[1]
+        psds = np.abs(np.fft.rfft(x, axis=1)) ** 2 / n ** 2
+        psds[:, 1:] *= 2.0
+        freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+        e_centers = np.arange(erb_number(f_lo), erb_number(f_hi) + 1e-9,
+                              step_erb)
+        centers = erb_to_hz(e_centers)
+        excitation = np.empty((len(psds), len(centers)))
+        for i, fc in enumerate(centers):
+            g = np.abs(freqs - fc) / erb_bandwidth(fc)
+            p = 4.0 * g
+            w = (1.0 + p) * np.exp(-p)
+            for j, psd in enumerate(psds):
+                excitation[j, i] = np.maximum((w * psd).sum(), 1e-30)
+        return 10.0 * np.log10(excitation)
+
+    x = speech_shaped_noise(0.5, RATE, seed=15)
+    y = np.convolve(x, [1.0, 0.4, -0.3], mode="same")
+    for signals in ((x, y), (x, y), (x[:-7], y[:-7]), (x, y)):
+        assert np.array_equal(metrics._erb_excitation(signals, RATE),
+                              uncached(signals, RATE))
+    assert np.array_equal(metrics._erb_excitation((x,), 16000, f_hi=6000.0),
+                          uncached((x,), 16000, f_hi=6000.0))
 
 
 def test_spectral_distance_level_invariance():
