@@ -4,16 +4,17 @@ and their error functions against the free-field reference condition."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .binsim import (AudioBuffer, RenderOutput, noise_scale,
-                     render_reference, render_source, ReceiverBank,
-                     VirtualSource)
+                     render_reference, ReceiverBank, VirtualSource)
 from .dsp import erb_bandwidth, erb_number, erb_to_hz
 from .geometry import ListenerPose, Position2D
 from .hrir import HrirSet
+from .panner import method_weights
 from .signals import white_noise
 
 BEAM_PATTERN_FLOOR_DB = -35.0
@@ -56,6 +57,30 @@ def make_third_octave_grid(f_min: float = 100.0,
     return BandGrid(centers=centers, edges=edges)
 
 
+def _band_span(x: np.ndarray, sample_rate: int, grid: BandGrid) -> tuple:
+    """The rfft bins of the rows of `x` that the grid's bands cover, the
+    bin bounds (band b holds bins bounds[b]:bounds[b + 1]) and the length."""
+    n = x.shape[-1]
+    bounds = np.searchsorted(np.fft.rfftfreq(n, 1.0 / sample_rate), grid.edges)
+    return np.fft.rfft(x, axis=-1)[..., bounds[0]:bounds[-1]], bounds, n
+
+
+def _band_powers(span: np.ndarray, bounds: np.ndarray, n: int) -> np.ndarray:
+    """Band powers of `n`-sample signals from their `_band_span`, one row
+    per row of `span`."""
+    lo = bounds[0]
+    # Fortran order, the layout of a boolean-mask copy psd[:, mask]: a band
+    # sum then adds the bins of all rows in the same order as that copy's.
+    psd = np.asfortranarray(np.abs(span) ** 2 / n ** 2)
+    # One-sided spectrum: every bin but DC and an even length's Nyquist bin
+    # stands for two.
+    psd[:, max(1, lo) - lo:(n - 1) // 2 + 1 - lo] *= 2.0
+    powers = np.empty((span.shape[0], len(bounds) - 1))
+    for b in range(len(bounds) - 1):
+        powers[:, b] = psd[:, bounds[b] - lo:bounds[b + 1] - lo].sum(axis=1)
+    return powers
+
+
 def third_octave_analyze(samples: np.ndarray, sample_rate: int,
                          grid: BandGrid) -> np.ndarray:
     """Band powers by spectral integration; the sum over a full-range grid
@@ -66,21 +91,7 @@ def third_octave_analyze(samples: np.ndarray, sample_rate: int,
     and each band sums one slice of it.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = x.shape[1]
-    bounds = np.searchsorted(np.fft.rfftfreq(n, 1.0 / sample_rate),
-                             grid.edges)
-    lo = bounds[0]
-    # Fortran order, the layout of a boolean-mask copy psd[:, mask]: a band
-    # sum then adds the bins of all rows in the same order as that copy's.
-    psd = np.asfortranarray(
-        np.abs(np.fft.rfft(x, axis=1)[:, lo:bounds[-1]]) ** 2 / n ** 2)
-    # One-sided spectrum: every bin but DC and an even length's Nyquist bin
-    # stands for two.
-    psd[:, max(1, lo) - lo:(n - 1) // 2 + 1 - lo] *= 2.0
-    powers = np.empty((x.shape[0], len(grid)))
-    for b in range(len(grid)):
-        powers[:, b] = psd[:, bounds[b] - lo:bounds[b + 1] - lo].sum(axis=1)
-    return powers
+    return _band_powers(*_band_span(x, sample_rate, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +107,6 @@ class BeamPattern:
     gains_db: np.ndarray        # (n_azimuths, n_bands)
 
 
-def _algorithm_io_powers(algorithm, rendered: AudioBuffer,
-                         grid: BandGrid) -> tuple:
-    ref_idx = getattr(algorithm, "reference_channel_indices",
-                      tuple(range(rendered.channels)))
-    p_in = third_octave_analyze(rendered.samples[list(ref_idx)],
-                                rendered.sample_rate, grid).sum(axis=0)
-    out = algorithm.process(rendered)
-    p_out = third_octave_analyze(out.samples, out.sample_rate, grid).sum(axis=0)
-    return p_in, p_out
-
-
 def beam_pattern(algorithm, method, bank: ReceiverBank | None,
                  hrir_set: HrirSet, pose: ListenerPose, grid: BandGrid,
                  probe_duration: float = 1.0, seed: int = 0,
@@ -115,27 +115,46 @@ def beam_pattern(algorithm, method, bank: ReceiverBank | None,
     """Band gains versus probe azimuth through the full reproduction and
     processing chain. `method=None` measures the free-field reference (no
     bank); otherwise the probes go through the algorithm's channels of
-    `bank`."""
+    `bank`. `algorithm` must be linear (the MVDR core is; the post-filtered
+    MvdrBeamformer is not): all probes lie at one distance, so a cell mixes
+    the spectra of one response per loudspeaker with each azimuth's
+    weights, which equals rendering each azimuth up to round-off."""
     probe = white_noise(probe_duration, hrir_set.sample_rate, seed=seed)
     if source_distance is None:
         source_distance = (bank.array.radius if bank is not None
                            else hrir_set.distance)
-    if method is not None:
+    positions = [Position2D.from_polar(az, source_distance)
+                 for az in azimuths]
+    if method is None:
+        responses = (render_reference(VirtualSource(probe, p), hrir_set,
+                                      pose, algorithm.channels)
+                     for p in positions)
+    else:
         bank = bank.select(algorithm.channels)
-    gains = np.empty((len(azimuths), len(grid)))
-    for i, az in enumerate(azimuths):
-        src = VirtualSource(probe, Position2D.from_polar(az, source_distance))
-        if method is None:
-            rendered = render_reference(src, hrir_set, pose, algorithm.channels)
-        else:
-            rendered = render_source(method, bank, src)
-        p_in, p_out = _algorithm_io_powers(algorithm, rendered, grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = 10.0 * np.log10(p_out / p_in)
-        g[~np.isfinite(g)] = BEAM_PATTERN_FLOOR_DB
-        gains[i] = np.maximum(g, BEAM_PATTERN_FLOOR_DB)
-    return BeamPattern(azimuths=np.asarray(azimuths, dtype=float),
-                       grid=grid, gains_db=gains)
+        weights = [method_weights(method, bank.array, p) for p in positions]
+        # Speaker s alone, at the probes' shared delay and attenuation.
+        responses = (AudioBuffer(bank.set.sample_rate, fftconvolve(
+            probe[None, :], bank.weighted_ir(replace(weights[0], weights=s)),
+            axes=1)) for s in np.eye(bank.array.count))
+    ref_idx = list(getattr(algorithm, "reference_channel_indices",
+                           range(len(algorithm.channels))))
+    spectra = ([], [])      # input and output, (response, channel, bin)
+    for rendered in responses:
+        for out, x in zip(spectra, (rendered.samples[ref_idx],
+                                    algorithm.process(rendered).samples)):
+            span, bounds, n = _band_span(x, rendered.sample_rate, grid)
+            out.append(span)
+    spectra = [np.stack(s) for s in spectra]
+    if method is not None:
+        mix = np.array([w.weights for w in weights])    # (azimuth, speaker)
+        spectra = [np.tensordot(mix, s, axes=(1, 0)) for s in spectra]
+    p_in, p_out = [np.array([_band_powers(a, bounds, n).sum(axis=0)
+                             for a in s]) for s in spectra]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 10.0 * np.log10(p_out / p_in)
+    gains[~np.isfinite(gains)] = BEAM_PATTERN_FLOOR_DB
+    return BeamPattern(azimuths=np.asarray(azimuths, dtype=float), grid=grid,
+                       gains_db=np.maximum(gains, BEAM_PATTERN_FLOOR_DB))
 
 
 def beam_error(ref: BeamPattern, test: BeamPattern,

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -309,3 +312,39 @@ def test_render_source_is_linear(lateral_bank, method, azimuth, distance, a,
     scale = (abs(a) * np.abs(render(x)).max()
              + abs(b) * np.abs(render(y)).max())
     assert np.abs(combined - expected).max() <= 1e-12 * scale
+
+
+@pytest.fixture(scope="module")
+def lateral_banks(hrir_set):
+    @functools.cache
+    def bank(count):
+        return ReceiverBank(build_array(count, 3.0), hrir_set,
+                            ListenerPose.lateral(0.1), CHANNELS_LOCALIZATION)
+    return bank
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(method=st.sampled_from(list(ReproductionMethod)),
+       count=st.sampled_from((4, 6, 8, 12, 18, 24, 36, 72)),
+       azimuth=st.floats(0.0, 360.0, exclude_max=True),
+       distance=st.floats(1.0, 6.0),
+       seed=st.integers(0, 2 ** 16))
+def test_render_source_is_the_weighted_sum_of_speaker_renders(
+        lateral_banks, method, count, azimuth, distance, seed):
+    # A render is the driving-weight sum of the renders of each speaker
+    # alone at the source's delay and attenuation; beam_pattern mixes its
+    # per-speaker responses by this identity.
+    bank = lateral_banks(count)
+    x = white_noise(0.02, RATE, seed=seed)
+    pos = Position2D.from_polar(azimuth, distance)
+    weights = method_weights(method, bank.array, pos)
+    speakers = [
+        fftconvolve(x[None, :], bank.weighted_ir(
+            dataclasses.replace(weights, weights=one_hot)), axes=1)
+        for one_hot in np.eye(count)]
+    rendered = render_source(method, bank, VirtualSource(x, pos)).samples
+    expected = sum(w * r for w, r in zip(weights.weights, speakers))
+    scale = sum(abs(w) * np.abs(r).max()
+                for w, r in zip(weights.weights, speakers))
+    assert np.abs(rendered - expected).max() <= 1e-12 * scale

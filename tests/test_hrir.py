@@ -7,6 +7,7 @@ from spatsim.hrir import (CHANNELS, HrirLoadError, HrirSet,
                           load_hrir_set, save_hrir_set, synth_sphere_hrir,
                           translate_listener)
 from spatsim.metrics import make_third_octave_grid, third_octave_analyze
+from spatsim.sphere import SeriesConvergenceError, sphere_transfer
 
 
 def _channel_delay(hrir_set, azimuth, channel):
@@ -170,3 +171,17 @@ def test_load_rate_mismatch(tmp_path):
     wavfile.write(path, rate // 2, data)
     with pytest.raises(HrirLoadError, match="sample rate"):
         load_hrir_set(tmp_path / "set")
+
+
+def test_sphere_series_not_converged_raises():
+    # A source 12.5 mm off the surface of a 87.5 mm sphere: at the fixed
+    # order margin the series tail stays large, and sphere_transfer says so
+    # instead of returning a truncated sum. At 0.2 m the series converges.
+    freqs = np.array([2000.0, 4000.0, 8000.0])
+    cosines = np.array([1.0, 0.0, -1.0])
+    with pytest.raises(SeriesConvergenceError,
+                       match=r"not converged at 3 frequencies "
+                             r"\(max order 73\)"):
+        sphere_transfer(freqs, cosines, 0.0875, 0.1)
+    h = sphere_transfer(freqs, cosines, 0.0875, 0.2)
+    assert h.shape == (3, 3) and np.all(np.isfinite(h))
