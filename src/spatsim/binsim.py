@@ -54,7 +54,6 @@ class AudioBuffer:
 class VirtualSource:
     signal: np.ndarray
     position: Position2D
-    level_offset_db: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,11 @@ class ReceiverBank:
 
 
 def render_source(method: ReproductionMethod, bank: ReceiverBank,
-                  source: VirtualSource,
-                  speed_of_sound: float = SPEED_OF_SOUND) -> AudioBuffer:
+                  source: VirtualSource) -> AudioBuffer:
     """Render one source through a reproduction method to the receiver
     channels: one convolution per channel with the effective IR, the
     speaker sum of the driving weights times the speaker-to-receiver IRs."""
-    weights = method_weights(method, bank.array, source.position,
-                             speed_of_sound=speed_of_sound)
+    weights = method_weights(method, bank.array, source.position)
     eff = bank.weighted_ir(weights)
     x = np.asarray(source.signal, dtype=float)
     return AudioBuffer(sample_rate=bank.set.sample_rate,
@@ -130,8 +127,7 @@ def render_source(method: ReproductionMethod, bank: ReceiverBank,
 
 
 def render_reference(source: VirtualSource, hrir_set: HrirSet,
-                     pose: ListenerPose, channels: tuple,
-                     speed_of_sound: float = SPEED_OF_SOUND) -> AudioBuffer:
+                     pose: ListenerPose, channels: tuple) -> AudioBuffer:
     """Free-field rendering: the source acts as its own loudspeaker.
 
     Convolves the signal with the listener-translated HRIR of the source
@@ -140,9 +136,8 @@ def render_reference(source: VirtualSource, hrir_set: HrirSet,
     identical to its nearest-speaker rendering.
     """
     ch_idx = [hrir_set.channel_index(c) for c in channels]
-    tir = translate_listener(hrir_set, pose, source.position,
-                             speed_of_sound=speed_of_sound)[ch_idx]
-    delay = hrir_set.distance * hrir_set.sample_rate / speed_of_sound
+    tir = translate_listener(hrir_set, pose, source.position)[ch_idx]
+    delay = hrir_set.distance * hrir_set.sample_rate / SPEED_OF_SOUND
     gain = 1.0 / hrir_set.distance
     x = np.asarray(source.signal, dtype=float)
     conv = fftconvolve(x[None, :], tir, axes=1)
@@ -185,11 +180,7 @@ def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
     # is held at a time; the sum grows to the longest part.
     n = np.zeros((len(render_channels), 0))
     for src in scene.noises:
-        scaled = VirtualSource(
-            signal=np.asarray(src.signal, dtype=float)
-            * 10.0 ** (src.level_offset_db / 20.0),
-            position=src.position)
-        part = _render_any(method, bank, scaled, hrir_set, pose,
+        part = _render_any(method, bank, src, hrir_set, pose,
                            render_channels).samples
         n = _zero_pad(n, part.shape[1])
         n[:, :part.shape[1]] += part

@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None,
                    help="processes that measure the cells (default: the "
-                        "CPUs available); 1 runs them in this process")
+                        "CPUs available, or 1 without the fork start "
+                        "method); 1 runs them in this process")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("contour", help="extract a criterion contour from a "

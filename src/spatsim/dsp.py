@@ -9,27 +9,26 @@ from scipy.signal import fftconvolve, lfilter
 FRACTIONAL_DELAY_TAPS = 64
 
 
-def fractional_delay_fir(delay_samples: float,
-                         taps: int = FRACTIONAL_DELAY_TAPS) -> tuple:
+def fractional_delay_fir(delay_samples: float) -> tuple:
     """Windowed-sinc fractional delay filter.
 
     Returns (offset, h): convolving a signal with `h` and placing the result
     at sample `offset` delays it by `delay_samples`. An integer delay yields
     an exact unit impulse (sinc hits the tap grid).
     """
-    n0 = int(np.floor(delay_samples)) - taps // 2 + 1
-    n = n0 + np.arange(taps)
+    half = FRACTIONAL_DELAY_TAPS // 2
+    n0 = int(np.floor(delay_samples)) - half + 1
+    n = n0 + np.arange(FRACTIONAL_DELAY_TAPS)
     arg = delay_samples - n
     h = np.sinc(arg)
     # Hann window centered on the delay; width spans the tap support.
-    w = 0.5 + 0.5 * np.cos(np.pi * arg / (taps // 2))
-    h *= np.where(np.abs(arg) <= taps // 2, w, 0.0)
+    w = 0.5 + 0.5 * np.cos(np.pi * arg / half)
+    h *= np.where(np.abs(arg) <= half, w, 0.0)
     return n0, h
 
 
 def delay_signal(x: np.ndarray, delay_samples: float,
-                 out_len: int | None = None,
-                 taps: int = FRACTIONAL_DELAY_TAPS) -> np.ndarray:
+                 out_len: int | None = None) -> np.ndarray:
     """Delay `x` along its last axis by a possibly fractional number of
     samples; every row of an N-D input gets the same delay in one call.
 
@@ -37,7 +36,7 @@ def delay_signal(x: np.ndarray, delay_samples: float,
     Output length defaults to x.shape[-1] plus the delay (rounded up).
     """
     x = np.asarray(x, dtype=float)
-    n0, h = fractional_delay_fir(delay_samples, taps)
+    n0, h = fractional_delay_fir(delay_samples)
     y = fftconvolve(x, h.reshape((1,) * (x.ndim - 1) + (-1,)), axes=-1)
     if out_len is None:
         out_len = x.shape[-1] + max(0, int(np.ceil(delay_samples)))

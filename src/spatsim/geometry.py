@@ -112,7 +112,6 @@ class ListenerPose:
     """Listener placement: lateral offset from the array center, facing front."""
 
     offset: Position2D = Position2D(0.0, 0.0)
-    facing: float = 0.0
 
     @classmethod
     def center(cls) -> "ListenerPose":

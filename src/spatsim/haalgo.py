@@ -38,11 +38,11 @@ class ShadowOutput:
     noise: AudioBuffer
 
 
-def _check_stems(stems: RenderOutput, rel_tol: float = 1e-6) -> None:
+def _check_stems(stems: RenderOutput) -> None:
     s = stems.mixture.samples
     d = s - (stems.target_only.samples + stems.noise_only.samples)
     scale = max(float(np.abs(s).max()), 1e-30)
-    if float(np.abs(d).max()) > rel_tol * scale:
+    if float(np.abs(d).max()) > 1e-6 * scale:
         raise ValueError("stems do not sum to the mixture")
 
 
@@ -70,8 +70,10 @@ class SpectralGainAlgorithm:
         return {}
 
     @property
-    def output_channels(self) -> int:
-        return len(self.channels)
+    def reference_channel_indices(self) -> tuple:
+        """Input channels that SNR and beam measurements compare the output
+        against."""
+        return tuple(range(len(self.channels)))
 
     def _synthesize(self, op, spec: np.ndarray, n_samples: int,
                     sample_rate: int) -> AudioBuffer:
@@ -136,7 +138,6 @@ class BeamformerDesign:
     propagation: np.ndarray      # (bins, 6) steering vectors
     noise_cov: np.ndarray        # (bins, 6, 6) diffuse model, loaded
     post_scale: np.ndarray       # (bins,) blocked-power -> output-power factor
-    steering_azimuth: float
 
 
 def _channel_spectra(hrir_set: HrirSet, azimuth: float, channels: tuple,
@@ -156,14 +157,13 @@ def _channel_spectra(hrir_set: HrirSet, azimuth: float, channels: tuple,
     return np.fft.rfft(folded, axis=1).T
 
 
-def design_mvdr(hrir_set: HrirSet, steering_azimuth: float = 0.0,
-                stft: StftProcessor | None = None,
-                diagonal_loading: float = 1e-4,
-                max_condition: float = 1e8) -> BeamformerDesign:
-    """MVDR design from sampled propagation vectors and a diffuse noise model.
+def design_mvdr(hrir_set: HrirSet,
+                stft: StftProcessor | None = None) -> BeamformerDesign:
+    """MVDR design steered to the front (0 degrees) from sampled propagation
+    vectors and a diffuse noise model.
 
     The diffuse covariance is the isotropic average of the propagation-vector
-    outer products over the HRIR azimuth grid, diagonally loaded relative to
+    outer products over the HRIR azimuth grid, diagonally loaded by 1e-4 of
     its trace.
     """
     stft = stft or StftProcessor(sample_rate=hrir_set.sample_rate)
@@ -179,16 +179,15 @@ def design_mvdr(hrir_set: HrirSet, steering_azimuth: float = 0.0,
     phi /= len(hrir_set.azimuths)
 
     trace = np.real(np.trace(phi, axis1=1, axis2=2))
-    phi += (diagonal_loading * np.maximum(trace, 1e-30) / n_ch)[:, None, None] \
+    phi += (1e-4 * np.maximum(trace, 1e-30) / n_ch)[:, None, None] \
         * np.eye(n_ch)
 
     cond = np.linalg.cond(phi)
-    if np.any(cond > max_condition):
+    if np.any(cond > 1e8):
         raise DesignError(
             f"diffuse covariance ill-conditioned: max cond {cond.max():.3g}")
 
-    d = _channel_spectra(hrir_set, steering_azimuth, CHANNELS_BEAMFORMER,
-                         stft.window_size)
+    d = _channel_spectra(hrir_set, 0.0, CHANNELS_BEAMFORMER, stft.window_size)
     phi_inv_d = np.linalg.solve(phi, d[:, :, None])[:, :, 0]
     denom = np.einsum("bc,bc->b", d.conj(), phi_inv_d)
     w = phi_inv_d / denom[:, None]
@@ -205,8 +204,7 @@ def design_mvdr(hrir_set: HrirSet, steering_azimuth: float = 0.0,
     post_scale = out_power / np.maximum(blocked_power, 1e-30)
 
     return BeamformerDesign(weights=w, propagation=d, noise_cov=phi,
-                            post_scale=post_scale,
-                            steering_azimuth=steering_azimuth)
+                            post_scale=post_scale)
 
 
 class MvdrBeamformer(SpectralGainAlgorithm):
@@ -216,23 +214,15 @@ class MvdrBeamformer(SpectralGainAlgorithm):
 
     channels = CHANNELS_BEAMFORMER
     name = "beamformer"
-    _REF_IDX = (CHANNELS_BEAMFORMER.index("ha_L_front"),
-                CHANNELS_BEAMFORMER.index("ha_R_front"))
-    # Input channels that SNR/beam measurements compare the output against.
-    reference_channel_indices = _REF_IDX
+    reference_channel_indices = (CHANNELS_BEAMFORMER.index("ha_L_front"),
+                                 CHANNELS_BEAMFORMER.index("ha_R_front"))
+    gain_floor = 0.1            # -20 dB
+    smoothing_time = 0.02       # seconds
 
     def __init__(self, design: BeamformerDesign,
-                 stft: StftProcessor | None = None,
-                 gain_floor_db: float = -20.0,
-                 smoothing_time: float = 0.02):
+                 stft: StftProcessor | None = None):
         super().__init__(stft)
         self.design = design
-        self.gain_floor = 10.0 ** (gain_floor_db / 20.0)
-        self.smoothing_time = smoothing_time
-
-    @property
-    def output_channels(self) -> int:
-        return 2
 
     def _operation(self, mix_spec: np.ndarray, aux: dict) -> np.ndarray:
         w = self.design.weights
@@ -253,7 +243,7 @@ class MvdrBeamformer(SpectralGainAlgorithm):
         return np.maximum(gain, self.gain_floor)
 
     def _apply(self, gain: np.ndarray, spec: np.ndarray) -> np.ndarray:
-        return spec[list(self._REF_IDX)] * gain[None]
+        return spec[list(self.reference_channel_indices)] * gain[None]
 
 
 class MvdrCoreBeamformer(SpectralGainAlgorithm):
@@ -265,17 +255,12 @@ class MvdrCoreBeamformer(SpectralGainAlgorithm):
 
     channels = CHANNELS_BEAMFORMER
     name = "beamformer_core"
-    _REF_IDX = MvdrBeamformer._REF_IDX
-    reference_channel_indices = _REF_IDX
+    reference_channel_indices = MvdrBeamformer.reference_channel_indices
 
     def __init__(self, design: BeamformerDesign,
                  stft: StftProcessor | None = None):
         super().__init__(stft)
         self.design = design
-
-    @property
-    def output_channels(self) -> int:
-        return 1
 
     def _operation(self, mix_spec: np.ndarray, aux: dict):
         return None
@@ -305,29 +290,23 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
     name = "adm"
 
     def __init__(self, mic_spacing: float, stft: StftProcessor | None = None,
-                 step: float = 0.05, n_bands: int = 4,
-                 speed_of_sound: float = SPEED_OF_SOUND,
-                 eq_limit_db: float = 20.0):
+                 step: float = 0.05):
         super().__init__(stft)
         self.mic_spacing = mic_spacing
         self.step = step
         freqs = self.stft.frequencies
-        delay = mic_spacing / speed_of_sound
+        delay = mic_spacing / SPEED_OF_SOUND
         self.phase = np.exp(-2j * np.pi * freqs * delay)
-        # Octave bands for the adaptive weight; lowest band absorbs the rest.
+        # Four octave bands below Nyquist for the adaptive weight; a fifth,
+        # lowest band absorbs the rest.
         upper = self.stft.sample_rate / 2.0
-        edges = upper / (2.0 ** np.arange(n_bands, 0, -1))
+        edges = upper / (2.0 ** np.arange(4, 0, -1))
         self.band_of_bin = np.searchsorted(edges, freqs, side="right")
-        self.n_bands = n_bands + 1
+        self.n_bands = len(edges) + 1
         # Forward cardioid equalization: invert the 2 sin(omega T) slope of
-        # the delay-and-subtract pair for a frontal source.
+        # the delay-and-subtract pair for a frontal source, by at most 20 dB.
         response = 2.0 * np.abs(np.sin(2.0 * np.pi * freqs * delay))
-        limit = 10.0 ** (-eq_limit_db / 20.0)
-        self.eq = 1.0 / np.maximum(response, limit)
-
-    @property
-    def output_channels(self) -> int:
-        return 1
+        self.eq = 1.0 / np.maximum(response, 0.1)
 
     def _cardioids(self, spec: np.ndarray) -> tuple:
         front, rear = spec[0], spec[1]
@@ -363,7 +342,7 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
 # Binaural coherence-based noise reduction
 
 
-def default_efficiency_profile(freqs: np.ndarray) -> np.ndarray:
+def efficiency_profile(freqs: np.ndarray) -> np.ndarray:
     """Efficiency exponent: 0 below 500 Hz, linear ramp to 0.5 at 1 kHz."""
     return np.clip((freqs - 500.0) / 1000.0, 0.0, 0.5)
 
@@ -377,12 +356,10 @@ class CoherenceNoiseReduction(SpectralGainAlgorithm):
 
     channels = CHANNELS_BINAURAL_NR
     name = "coherence_nr"
+    time_constant = 0.040       # seconds
 
-    def __init__(self, stft: StftProcessor | None = None,
-                 time_constant: float = 0.040,
-                 efficiency_profile=default_efficiency_profile):
+    def __init__(self, stft: StftProcessor | None = None):
         super().__init__(stft)
-        self.time_constant = time_constant
         self.beta = efficiency_profile(self.stft.frequencies)
 
     def _operation(self, mix_spec: np.ndarray, aux: dict) -> np.ndarray:
@@ -412,12 +389,8 @@ class SingleChannelNoiseReduction(SpectralGainAlgorithm):
 
     channels = CHANNELS_SINGLE_NR
     name = "single_nr"
-
-    def __init__(self, stft: StftProcessor | None = None,
-                 dd_alpha: float = 0.5, gain_floor_db: float = -40.0):
-        super().__init__(stft)
-        self.dd_alpha = dd_alpha
-        self.gain_floor = 10.0 ** (gain_floor_db / 20.0)
+    dd_alpha = 0.5              # decision-directed smoothing
+    gain_floor = 0.01           # -40 dB
 
     def _aux(self, noise_spec: np.ndarray) -> dict:
         return {"noise_spec": noise_spec[0]}

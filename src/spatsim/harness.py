@@ -28,7 +28,7 @@ from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      DesignError, MvdrBeamformer, MvdrCoreBeamformer,
                      SingleChannelNoiseReduction, design_mvdr)
 from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
-                   DEFAULT_HEAD_RADIUS, HrirSet, load_hrir_set,
+                   DEFAULT_HEAD_RADIUS, HrirSet, MicLayout, load_hrir_set,
                    synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
 from .metrics import (BandGrid, BeamPattern, NOMINAL_INPUT_SNRS, beam_error,
@@ -219,9 +219,8 @@ def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
             cls = MvdrBeamformer if name == "beamformer" else MvdrCoreBeamformer
             algos[name] = cls(design, stft=stft)
         elif name == "adm":
-            spacing = 0.01
-            algos[name] = AdaptiveDifferentialMic(mic_spacing=spacing,
-                                                  stft=stft)
+            algos[name] = AdaptiveDifferentialMic(
+                mic_spacing=MicLayout().bte_pair_spacing, stft=stft)
         elif name == "coherence_nr":
             algos[name] = CoherenceNoiseReduction(stft=stft)
         elif name == "single_nr":
@@ -333,10 +332,8 @@ class _Sweep:
         out = {}
         ple = None
         if "beam" in metrics:
-            # The published 5.7 dB criterion refers to the root-sum-of-squares.
             out["beam"] = (nan if test.pattern is None else
-                           beam_error(ref.pattern, test.pattern,
-                                      normalized=False))
+                           beam_error(ref.pattern, test.pattern))
         if "snr" in metrics:
             for name in self.algorithms:
                 out[("snr", name)] = (
@@ -410,14 +407,24 @@ def _run_units(sweep: _Sweep, units: list, workers: int, progress) -> dict:
     return results
 
 
+def _default_workers() -> int:
+    """The CPUs this process may run on, or 1 where the platform has no
+    `fork` start method, which a pool of several workers needs."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
               progress=None, workers: int | None = None) -> SweepResult:
     """Evaluate the whole (method x N x pose) grid.
 
     Each pose's free-field reference and each cell is one unit of work;
-    `workers` processes (default: the CPUs this process may run on) measure
-    them, forked after the shared set-up, and the errors are formed here in
-    grid order. The result does not depend on `workers`.
+    `workers` processes (default: `_default_workers()`) measure them,
+    forked after the shared set-up, and the errors are formed here in grid
+    order. The result does not depend on `workers`.
 
     Deterministic for a given config; cell failures are recorded and leave
     NaNs in the affected surface instead of aborting the run. So does a
@@ -431,7 +438,7 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
                   for method_name in config.methods
                   for count in config.speaker_counts]
     if workers is None:
-        workers = len(os.sched_getaffinity(0))
+        workers = _default_workers()
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     workers = min(workers, max(len(units), 1))
@@ -640,9 +647,10 @@ def write_manifest(result: SweepResult, path) -> None:
     Path(path).write_text(yaml.safe_dump(manifest, sort_keys=True))
 
 
-def report(result: SweepResult, criteria: CriterionTable | None = None) -> str:
-    """Human-readable usable-bandwidth summary for every criterion metric."""
-    criteria = criteria or CriterionTable()
+def report(result: SweepResult) -> str:
+    """Human-readable usable-bandwidth summary for every criterion metric,
+    at the published criteria."""
+    criteria = CriterionTable()
     lines = [f"sweep report (config {result.config_hash})", ""]
     if not result.surfaces:
         return "\n".join(lines + ["no surfaces computed"])

@@ -111,10 +111,8 @@ class HrirSet:
 def synth_sphere_hrir(azimuth_grid: np.ndarray | None = None,
                       sample_rate: int = DEFAULT_SAMPLE_RATE,
                       head_radius: float = DEFAULT_HEAD_RADIUS,
-                      mic_layout: MicLayout | None = None,
                       distance: float = 3.0,
-                      ir_length: int = DEFAULT_IR_LENGTH,
-                      speed_of_sound: float = SPEED_OF_SOUND) -> HrirSet:
+                      ir_length: int = DEFAULT_IR_LENGTH) -> HrirSet:
     """Synthesize an HRIR set from the rigid-sphere diffraction model.
 
     IRs carry the measurement-distance propagation delay (distance/c) and are
@@ -127,7 +125,7 @@ def synth_sphere_hrir(azimuth_grid: np.ndarray | None = None,
     if azimuth_grid is None:
         azimuth_grid = np.arange(0.0, 360.0, 5.0)
     azimuth_grid = np.asarray(azimuth_grid, dtype=float)
-    layout = mic_layout or MicLayout()
+    layout = MicLayout()
     mic_az = layout.channel_azimuths(head_radius)
 
     freqs = np.fft.rfftfreq(ir_length, 1.0 / sample_rate)
@@ -136,10 +134,9 @@ def synth_sphere_hrir(azimuth_grid: np.ndarray | None = None,
     cosines = np.array([math.cos(math.radians(az - mic_az[ch]))
                         for az, ch in pairs])
     uniq, inverse = np.unique(np.round(cosines, 12), return_inverse=True)
-    h_uniq = sphere_transfer(freqs, uniq, head_radius, distance,
-                             speed_of_sound=speed_of_sound)
+    h_uniq = sphere_transfer(freqs, uniq, head_radius, distance)
 
-    delay = np.exp(-2j * np.pi * freqs * distance / speed_of_sound)
+    delay = np.exp(-2j * np.pi * freqs * distance / SPEED_OF_SOUND)
     irs = np.empty((len(azimuth_grid), len(CHANNELS), ir_length))
     for p, (az, ch) in enumerate(pairs):
         i, j = divmod(p, len(CHANNELS))
@@ -213,8 +210,7 @@ TRANSLATE_HEADROOM = 128
 
 
 def translate_listener(hrir_set: HrirSet, pose: ListenerPose,
-                       speaker: Position2D,
-                       speed_of_sound: float = SPEED_OF_SOUND) -> np.ndarray:
+                       speaker: Position2D) -> np.ndarray:
     """Effective per-channel IR from a speaker to a shifted listener.
 
     Interpolates the HRIR for the listener-relative direction and applies the
@@ -225,9 +221,9 @@ def translate_listener(hrir_set: HrirSet, pose: ListenerPose,
         raise ValueError("listener offset outside the speaker circle")
     rel = speaker - pose.offset
     d = rel.norm()
-    irs = interpolate_direction(hrir_set, rel.azimuth - pose.facing)
+    irs = interpolate_direction(hrir_set, rel.azimuth)
     gain = hrir_set.distance / d
-    delay_s = (d - hrir_set.distance) * hrir_set.sample_rate / speed_of_sound
+    delay_s = (d - hrir_set.distance) * hrir_set.sample_rate / SPEED_OF_SOUND
     out_len = hrir_set.ir_length + TRANSLATE_HEADROOM
     return gain * delay_signal(irs, delay_s, out_len=out_len)
 

@@ -118,21 +118,19 @@ def _median_statistic(band: BandCues) -> float:
     return float(np.median(band.statistic))
 
 
-def build_cue_lookup(hrir_set: HrirSet, pose: ListenerPose | None = None,
-                     probe_duration: float = 0.5, seed: int = 7,
-                     source_distance: float | None = None,
+def build_cue_lookup(hrir_set: HrirSet, probe_duration: float = 0.5,
+                     seed: int = 7,
                      azimuths: np.ndarray = LOOKUP_AZIMUTHS) -> CueLookup:
-    """Calibrate cue-to-azimuth tables by free-field probes through the same
-    receiver model used for evaluation."""
-    if pose is None:
-        pose = ListenerPose.center()
-    if source_distance is None:
-        source_distance = hrir_set.distance
+    """Calibrate cue-to-azimuth tables by free-field probes at the HRIR
+    distance to a centred listener, through the same receiver model used
+    for evaluation."""
     probe = speech_shaped_noise(probe_duration, hrir_set.sample_rate, seed=seed)
     fine = np.empty((FINE_BAND_COUNT, len(azimuths)))
     for i, az in enumerate(azimuths):
-        src = VirtualSource(probe, Position2D.from_polar(az, source_distance))
-        rendered = render_reference(src, hrir_set, pose, CHANNELS_LOCALIZATION)
+        src = VirtualSource(probe,
+                            Position2D.from_polar(az, hrir_set.distance))
+        rendered = render_reference(src, hrir_set, ListenerPose.center(),
+                                    CHANNELS_LOCALIZATION)
         fine[:, i] = [_median_statistic(b) for b in extract_cues(rendered)]
     return CueLookup(azimuths=np.asarray(azimuths, dtype=float),
                      fine_tables=fine)

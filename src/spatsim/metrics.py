@@ -110,19 +110,18 @@ class BeamPattern:
 def beam_pattern(algorithm, method, bank: ReceiverBank | None,
                  hrir_set: HrirSet, pose: ListenerPose, grid: BandGrid,
                  probe_duration: float = 1.0, seed: int = 0,
-                 source_distance: float | None = None,
                  azimuths: np.ndarray = PATTERN_AZIMUTHS) -> BeamPattern:
     """Band gains versus probe azimuth through the full reproduction and
-    processing chain. `method=None` measures the free-field reference (no
+    processing chain, for probes at the array radius, or in free field at
+    the HRIR distance. `method=None` measures the free-field reference (no
     bank); otherwise the probes go through the algorithm's channels of
     `bank`. `algorithm` must be linear (the MVDR core is; the post-filtered
     MvdrBeamformer is not): all probes lie at one distance, so a cell mixes
     the spectra of one response per loudspeaker with each azimuth's
     weights, which equals rendering each azimuth up to round-off."""
     probe = white_noise(probe_duration, hrir_set.sample_rate, seed=seed)
-    if source_distance is None:
-        source_distance = (bank.array.radius if bank is not None
-                           else hrir_set.distance)
+    source_distance = (bank.array.radius if bank is not None
+                       else hrir_set.distance)
     positions = [Position2D.from_polar(az, source_distance)
                  for az in azimuths]
     if method is None:
@@ -136,8 +135,7 @@ def beam_pattern(algorithm, method, bank: ReceiverBank | None,
         responses = (AudioBuffer(bank.set.sample_rate, fftconvolve(
             probe[None, :], bank.weighted_ir(replace(weights[0], weights=s)),
             axes=1)) for s in np.eye(bank.array.count))
-    ref_idx = list(getattr(algorithm, "reference_channel_indices",
-                           range(len(algorithm.channels))))
+    ref_idx = list(algorithm.reference_channel_indices)
     spectra = ([], [])      # input and output, (response, channel, bin)
     for rendered in responses:
         for out, x in zip(spectra, (rendered.samples[ref_idx],
@@ -157,20 +155,13 @@ def beam_pattern(algorithm, method, bank: ReceiverBank | None,
                        gains_db=np.maximum(gains, BEAM_PATTERN_FLOOR_DB))
 
 
-def beam_error(ref: BeamPattern, test: BeamPattern,
-               normalized: bool = True) -> np.ndarray:
-    """Per-band azimuth aggregation of gain deviations.
-
-    `normalized=True` returns the RMS across azimuths; `normalized=False`
-    returns the plain root-sum-of-squares, which is the form the published
-    5.7 dB criterion refers to.
-    """
+def beam_error(ref: BeamPattern, test: BeamPattern) -> np.ndarray:
+    """Per-band root-sum-of-squares of the gain deviations across
+    azimuths, the form the published 5.7 dB criterion refers to."""
     if (ref.gains_db.shape != test.gains_db.shape
             or not np.array_equal(ref.azimuths, test.azimuths)):
         raise ValueError("beam patterns are on different grids")
     dg2 = (ref.gains_db - test.gains_db) ** 2
-    if normalized:
-        return np.sqrt(dg2.mean(axis=0))
     return np.sqrt(dg2.sum(axis=0))
 
 
@@ -205,8 +196,7 @@ def snr_improvement(algorithm, stems: RenderOutput, grid: BandGrid,
     algorithm's operation is linear, so the stems are transformed once and
     only the scale changes with the SNR.
     """
-    ref_idx = list(getattr(algorithm, "reference_channel_indices",
-                           range(len(algorithm.channels))))
+    ref_idx = list(algorithm.reference_channel_indices)
     rate = stems.mixture.sample_rate
 
     def band_power(samples):
@@ -247,14 +237,13 @@ SPECTRAL_WEIGHT_SLOPE = 0.010    # per dB/ERB-step slope deviation
 
 
 @functools.lru_cache(maxsize=1)
-def _erb_weights(n: int, sample_rate: int, f_lo: float, f_hi: float,
-                 step_erb: float) -> np.ndarray:
-    """Rounded-exponential weights of the ERB-spaced filters over the rfft
-    bins of an `n`-sample signal, one row per filter. Only the last set is
-    kept: at n = 53k it takes 13 MB, and a sweep compares signals of one
-    length."""
+def _erb_weights(n: int, sample_rate: int, f_hi: float) -> np.ndarray:
+    """Rounded-exponential weights of the filters spaced 0.5 ERB apart
+    from 100 Hz to `f_hi` over the rfft bins of an `n`-sample signal, one
+    row per filter. Only the last set is kept: at n = 53k it takes 13 MB,
+    and a sweep compares signals of one length."""
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    e_centers = np.arange(erb_number(f_lo), erb_number(f_hi) + 1e-9, step_erb)
+    e_centers = np.arange(erb_number(100.0), erb_number(f_hi) + 1e-9, 0.5)
     rows = []
     for fc in erb_to_hz(e_centers):
         p = 4.0 * (np.abs(freqs - fc) / erb_bandwidth(fc))
@@ -262,8 +251,8 @@ def _erb_weights(n: int, sample_rate: int, f_lo: float, f_hi: float,
     return np.array(rows)
 
 
-def _erb_excitation(signals, sample_rate: int, f_lo: float = 100.0,
-                    f_hi: float = 8000.0, step_erb: float = 0.5) -> np.ndarray:
+def _erb_excitation(signals, sample_rate: int,
+                    f_hi: float = 8000.0) -> np.ndarray:
     """Excitation patterns in dB, one row per signal (all of one length),
     from the long-term power spectrum through an ERB-spaced
     rounded-exponential filterbank."""
@@ -271,7 +260,7 @@ def _erb_excitation(signals, sample_rate: int, f_lo: float = 100.0,
     n = x.shape[1]
     psds = np.abs(np.fft.rfft(x, axis=1)) ** 2 / n ** 2
     psds[:, 1:] *= 2.0
-    weights = _erb_weights(n, sample_rate, f_lo, f_hi, step_erb)
+    weights = _erb_weights(n, sample_rate, f_hi)
     excitation = np.empty((len(psds), len(weights)))
     for i, w in enumerate(weights):
         for j, psd in enumerate(psds):

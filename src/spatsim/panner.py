@@ -37,25 +37,23 @@ class DrivingWeights:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
-def _source_terms(source: Position2D, speed_of_sound: float) -> tuple:
+def _source_terms(source: Position2D) -> tuple:
     dist = source.norm()
     if dist <= 0.0:
         raise ValueError("source at the origin has no defined direction")
-    return dist / speed_of_sound, 1.0 / dist
+    return dist / SPEED_OF_SOUND, 1.0 / dist
 
 
-def nsp_weights(array: SpeakerArray, source: Position2D,
-                speed_of_sound: float = SPEED_OF_SOUND) -> DrivingWeights:
+def nsp_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
     """One-hot weights on the speaker nearest to the source azimuth."""
-    delay, atten = _source_terms(source, speed_of_sound)
+    delay, atten = _source_terms(source)
     w = np.zeros(array.count)
     w[nearest_speaker(array, source.azimuth)] = 1.0
     return DrivingWeights(w, delay, atten)
 
 
 def vbap_weights(array: SpeakerArray, source: Position2D,
-                 normalize: bool = False,
-                 speed_of_sound: float = SPEED_OF_SOUND) -> DrivingWeights:
+                 normalize: bool = False) -> DrivingWeights:
     """Amplitude panning over the bracketing speaker pair.
 
     Solves [w_l w_m] S = r_hat for the unit source vector r_hat and the 2x2
@@ -63,7 +61,7 @@ def vbap_weights(array: SpeakerArray, source: Position2D,
     rescaled to unit power (off by default; the raw solution reconstructs the
     source unit vector exactly).
     """
-    delay, atten = _source_terms(source, speed_of_sound)
+    delay, atten = _source_terms(source)
     l, m = speaker_pair(array, source.azimuth)
     s = np.array([[math.cos(math.radians(array.azimuth_of(k))),
                    math.sin(math.radians(array.azimuth_of(k)))]
@@ -96,14 +94,13 @@ def hoa_kernel(phi: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def hoa_weights(array: SpeakerArray, source: Position2D,
-                speed_of_sound: float = SPEED_OF_SOUND) -> DrivingWeights:
+def hoa_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
     """Basic-decoding ambisonics weights at the largest even-N integer order.
 
     Combined encode/decode for a regular circular array: each speaker gets the
     Dirichlet kernel evaluated at its angular offset from the source.
     """
-    delay, atten = _source_terms(source, speed_of_sound)
+    delay, atten = _source_terms(source)
     phi = np.radians([wrap_degrees_signed(source.azimuth - array.azimuth_of(k))
                       for k in range(array.count)])
     return DrivingWeights(hoa_kernel(phi, array.count), delay, atten)
@@ -117,10 +114,9 @@ _WEIGHT_FUNCS = {
 
 
 def method_weights(method: ReproductionMethod, array: SpeakerArray,
-                   source: Position2D,
-                   speed_of_sound: float = SPEED_OF_SOUND) -> DrivingWeights:
+                   source: Position2D) -> DrivingWeights:
     """Driving weights for `source` under the given reproduction method."""
-    return _WEIGHT_FUNCS[method](array, source, speed_of_sound=speed_of_sound)
+    return _WEIGHT_FUNCS[method](array, source)
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,8 @@ class AliasingPrediction:
     usable_radius: float
 
 
-def aliasing_limit(speaker_count: int, listening_radius: float,
-                   speed_of_sound: float = SPEED_OF_SOUND) -> AliasingPrediction:
+def aliasing_limit(speaker_count: int,
+                   listening_radius: float) -> AliasingPrediction:
     """Highest alias-free frequency for a listening radius: c (N-1) / (4 pi r).
 
     For even N the largest integer ambisonics order is N/2 - 1, so the
@@ -144,13 +140,12 @@ def aliasing_limit(speaker_count: int, listening_radius: float,
     n_min = speaker_count - 1
     if listening_radius == 0.0:
         return AliasingPrediction(math.inf, speaker_count, math.inf)
-    f_max = speed_of_sound * n_min / (4.0 * math.pi * listening_radius)
+    f_max = SPEED_OF_SOUND * n_min / (4.0 * math.pi * listening_radius)
     return AliasingPrediction(f_max, speaker_count, listening_radius)
 
 
-def speakers_for_bandwidth(frequency: float, listening_radius: float,
-                           speed_of_sound: float = SPEED_OF_SOUND) -> int:
+def speakers_for_bandwidth(frequency: float, listening_radius: float) -> int:
     """Smallest even speaker count whose aliasing limit reaches `frequency`."""
-    n = 4.0 * math.pi * listening_radius * frequency / speed_of_sound
+    n = 4.0 * math.pi * listening_radius * frequency / SPEED_OF_SOUND
     count = max(4, math.ceil(n))
     return count if count % 2 == 0 else count + 1

@@ -39,24 +39,12 @@ def speech_shaped_noise(duration: float, sample_rate: int,
     return x / np.sqrt(np.mean(np.square(x)))
 
 
-def _syllabic_envelope(n: int, sample_rate: int, rng,
-                       rate_hz: float = 4.0) -> np.ndarray:
-    """Random low-pass envelope with speech-like syllable modulation."""
-    n_ctrl = max(4, int(np.ceil(n / sample_rate * rate_hz)) + 2)
-    ctrl = rng.gamma(shape=1.5, scale=1.0, size=n_ctrl)
-    t = np.linspace(0.0, n_ctrl - 1.0, n)
-    env = np.interp(t, np.arange(n_ctrl), ctrl)
-    return env / np.sqrt(np.mean(np.square(env)))
-
-
 def synthetic_speech(duration: float, sample_rate: int,
-                     seed: int = DEFAULT_SEED,
-                     syllable_rate: float = 4.0,
-                     f0_hz: float = 120.0) -> np.ndarray:
-    """Speech surrogate: harmonic (pulse-train) excitation with a drifting
-    pitch contour, voiced/unvoiced syllables, real pauses, and speech-like
-    spectral shaping. Spectrally sparse like voiced speech; not
-    intelligible."""
+                     seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Speech surrogate: harmonic (pulse-train) excitation with a pitch
+    contour drifting around 120 Hz, voiced/unvoiced syllables at about four
+    per second, real pauses, and speech-like spectral shaping. Spectrally
+    sparse like voiced speech; not intelligible."""
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
 
@@ -64,7 +52,7 @@ def synthetic_speech(duration: float, sample_rate: int,
     n_ctrl = max(4, int(np.ceil(duration * 8.0)) + 2)
     ctrl = np.cumsum(rng.standard_normal(n_ctrl)) * 0.1
     ctrl -= ctrl.mean()
-    f0 = f0_hz * 2.0 ** np.clip(
+    f0 = 120.0 * 2.0 ** np.clip(
         np.interp(np.linspace(0, n_ctrl - 1.0, n), np.arange(n_ctrl), ctrl),
         -0.3, 0.3)
     # Glottal-pulse excitation: spectrally flat so the shaping filter alone
@@ -90,7 +78,7 @@ def synthetic_speech(duration: float, sample_rate: int,
     ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp_len) / ramp_len)
     pos = 0
     while pos < n:
-        length = int(sample_rate / syllable_rate * rng.uniform(0.7, 1.3))
+        length = int(sample_rate / 4.0 * rng.uniform(0.7, 1.3))
         end = min(pos + length, n)
         if rng.uniform() < 0.65:            # else: pause
             amp = rng.gamma(shape=1.5, scale=0.7)
@@ -146,17 +134,17 @@ def cafeteria_noise(duration: float, sample_rate: int,
 
 
 def make_default_scene(duration: float, sample_rate: int,
-                       n_noise: int = 20, seed: int = DEFAULT_SEED,
-                       target_azimuth: float = 0.0,
-                       target_distance: float = 3.0) -> SceneSpec:
-    """Frontal speech target plus spatially distributed cafeteria-noise
-    sources at seeded random azimuths, distances 1.5-4 m. Noise levels fall
-    off with distance (the rendering applies the 1/distance law)."""
+                       n_noise: int = 20,
+                       seed: int = DEFAULT_SEED) -> SceneSpec:
+    """Frontal speech target at 3 m plus spatially distributed
+    cafeteria-noise sources at seeded random azimuths, distances 1.5-4 m.
+    Noise levels fall off with distance (the rendering applies the
+    1/distance law)."""
     rng = np.random.default_rng(seed)
     target = VirtualSource(
         signal=synthetic_speech(duration, sample_rate,
                                 seed=rng.integers(1 << 31)),
-        position=Position2D.from_polar(target_azimuth, target_distance))
+        position=Position2D.from_polar(0.0, 3.0))
     noises = []
     for _ in range(n_noise):
         az = rng.uniform(0.0, 360.0)
@@ -169,14 +157,12 @@ def make_default_scene(duration: float, sample_rate: int,
 
 
 def scene_layout(scene: SceneSpec) -> list:
-    """Serializable source layout (azimuth, distance, level offset)."""
+    """Serializable source layout (role, azimuth, distance)."""
     rows = [{"role": "target",
              "azimuth": scene.target.position.azimuth,
-             "distance": scene.target.position.distance,
-             "level_offset_db": scene.target.level_offset_db}]
+             "distance": scene.target.position.distance}]
     for src in scene.noises:
         rows.append({"role": "noise",
                      "azimuth": src.position.azimuth,
-                     "distance": src.position.distance,
-                     "level_offset_db": src.level_offset_db})
+                     "distance": src.position.distance})
     return rows

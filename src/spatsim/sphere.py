@@ -11,15 +11,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
+from .panner import SPEED_OF_SOUND
+
 
 class SeriesConvergenceError(RuntimeError):
     """The spherical-harmonic series failed to converge at the requested order."""
 
 
 def sphere_transfer(frequencies: np.ndarray, incidence_cos: np.ndarray,
-                    sphere_radius: float, source_distance: float,
-                    speed_of_sound: float = 343.0,
-                    rel_tol: float = 1e-6) -> np.ndarray:
+                    sphere_radius: float, source_distance: float) -> np.ndarray:
     """Surface pressure / free-field center pressure for a rigid sphere.
 
     Parameters
@@ -42,7 +42,7 @@ def sphere_transfer(frequencies: np.ndarray, incidence_cos: np.ndarray,
 
     nonzero = f > 0
     fnz = f[nonzero]
-    mu = 2.0 * np.pi * fnz * sphere_radius / speed_of_sound
+    mu = 2.0 * np.pi * fnz * sphere_radius / SPEED_OF_SOUND
     rho = source_distance / sphere_radius
 
     m_max = int(np.ceil(np.max(mu, initial=0.0))) + 60
@@ -66,7 +66,7 @@ def sphere_transfer(frequencies: np.ndarray, incidence_cos: np.ndarray,
     series = (coeff[:, None] * legendre).T @ radial
 
     tail = (coeff[-2:, None] * np.abs(radial[-2:])).max(axis=0)
-    bad = tail > rel_tol * np.maximum(np.abs(series).min(axis=0), 1e-12)
+    bad = tail > 1e-6 * np.maximum(np.abs(series).min(axis=0), 1e-12)
     if np.any(bad):
         raise SeriesConvergenceError(
             f"series not converged at {int(bad.sum())} frequencies "

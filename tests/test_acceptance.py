@@ -85,7 +85,7 @@ def identity_data(hrir_set, mvdr_design, lookup):
                            probe_duration=0.5)
     nsp_pat = beam_pattern(core, ReproductionMethod.NSP, bank, hrir_set,
                            CENTER, GRID, probe_duration=0.5)
-    beam_err = float(beam_error(ref_pat, nsp_pat, normalized=False).max())
+    beam_err = float(beam_error(ref_pat, nsp_pat).max())
 
     # Scene with every source on the 5-degree grid at the array radius.
     target = VirtualSource(speech_shaped_noise(1.0, RATE, seed=50),
@@ -481,9 +481,8 @@ def test_criterion_8_determinism_and_axioms(tmp_path):
     g = rng.normal(size=(72, len(sub)))
     h = rng.normal(size=(72, len(sub)))
     axioms = True
-    for normalized in (True, False):
-        axioms &= bool(np.all(beam_error(pat(g), pat(g), normalized) == 0.0))
-        axioms &= bool(np.all(beam_error(pat(g), pat(h), normalized) >= 0.0))
+    axioms &= bool(np.all(beam_error(pat(g), pat(g)) == 0.0))
+    axioms &= bool(np.all(beam_error(pat(g), pat(h)) >= 0.0))
 
     def sweep(d):
         return SnrSweep(input_snrs=(0, 1, 2), grid=sub, delta_r=d)

@@ -213,9 +213,8 @@ def test_scene_stems_sum_the_source_renders(hrir_set):
                                hrir_set, pose, ("in_ear_R",))
     own = bank.select(("in_ear_R", "in_ear_L"))
     target = render_source(ReproductionMethod.VBAP, own, scene.target).samples
-    parts = [render_source(ReproductionMethod.VBAP, own, VirtualSource(
-        src.signal * 10.0 ** (src.level_offset_db / 20.0),
-        src.position)).samples for src in scene.noises]
+    parts = [render_source(ReproductionMethod.VBAP, own, src).samples
+             for src in scene.noises]
     n_len = max(p.shape[1] for p in [target] + parts)
     assert len({p.shape[1] for p in [target] + parts}) > 1
     noise = np.zeros((2, n_len))

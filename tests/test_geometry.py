@@ -109,4 +109,3 @@ def test_listener_pose_constructors():
     assert ListenerPose.center().offset.norm() == 0.0
     pose = ListenerPose.lateral(0.5)
     assert pose.offset.norm() == pytest.approx(0.5)
-    assert pose.facing == 0.0

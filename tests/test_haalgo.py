@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
                             VirtualSource, render_reference,
@@ -7,8 +8,8 @@ from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
-                            SingleChannelNoiseReduction, _channel_spectra,
-                            design_mvdr)
+                            ShadowOutput, SingleChannelNoiseReduction,
+                            _channel_spectra, design_mvdr)
 from spatsim.hrir import (CHANNELS, CHANNELS_ADM, CHANNELS_BEAMFORMER,
                           CHANNELS_BINAURAL_NR, CHANNELS_SINGLE_NR,
                           interpolate_direction)
@@ -316,6 +317,31 @@ def test_shadow_additivity_all_algorithms(scene_stems, mvdr_design):
         stems = select_channels(scene_stems, channels)
         shadow = algo.shadow(stems)
         assert _additivity(shadow) < 1e-6, algo.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(300, 3000),
+       onset=st.integers(0, 600),
+       scale=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+def test_shadow_stems_additivity_at_any_noise_scale(mvdr_design, seed, n,
+                                                    onset, scale):
+    """The processed target plus the processed scaled noise is the
+    processed mixture, for random stems, silent lead-ins and noise scales,
+    as the SNR path uses them."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, len(CHANNELS_BEAMFORMER), n))
+    parts[0, :, :onset] = 0.0
+    stems = RenderOutput(mixture=AudioBuffer(RATE, parts[0] + parts[1]),
+                         target_only=AudioBuffer(RATE, parts[0]),
+                         noise_only=AudioBuffer(RATE, parts[1]),
+                         channels=CHANNELS_BEAMFORMER)
+    for algo in (MvdrBeamformer(mvdr_design),
+                 AdaptiveDifferentialMic(mic_spacing=0.01),
+                 CoherenceNoiseReduction(), SingleChannelNoiseReduction()):
+        sub = select_channels(stems, algo.channels)
+        shadow = ShadowOutput(*algo.shadow_stems(
+            sub, algo.analyze_stems(sub), scale, with_mixture=True))
+        assert _additivity(shadow) <= 1e-9, algo.name
 
 
 @pytest.mark.xfail(strict=True, reason=(

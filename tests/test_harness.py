@@ -304,8 +304,8 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
         core, method, ReceiverBank(array, hrir_set, pose, core.channels),
         hrir_set, pose, grid, probe_duration=config.pattern_probe_duration,
         seed=config.seed)
-    assert np.array_equal(values["beam"], harness.beam_error(
-        ref.pattern, pattern, normalized=False))
+    assert np.array_equal(values["beam"],
+                          harness.beam_error(ref.pattern, pattern))
     snr_channels = harness._UNION_CHANNELS + (CALIBRATION_CHANNEL,)
     stems = harness.render_scene_stems(
         sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
@@ -453,6 +453,25 @@ def test_dead_worker_fails_the_sweep(hrir_set, monkeypatch):
 def test_workers_below_one_rejected(hrir_set):
     with pytest.raises(ValueError, match="workers"):
         run_sweep(QUICK, hrir_set=hrir_set, workers=0)
+
+
+def test_default_workers_without_sched_getaffinity(monkeypatch):
+    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods",
+                        lambda: ["fork", "spawn"])
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert harness._default_workers() == 3
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._default_workers() == 1
+
+
+def test_default_workers_without_fork(monkeypatch):
+    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert harness._default_workers() == 1
 
 
 def test_manifest_records_ple_cells(tmp_path):

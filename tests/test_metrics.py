@@ -148,18 +148,15 @@ def test_beam_error_axioms():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(72, 20))
     h = rng.normal(size=(72, 20))
-    for normalized in (True, False):
-        assert np.all(beam_error(_pattern(g), _pattern(g), normalized) == 0.0)
-        assert np.all(beam_error(_pattern(g), _pattern(h), normalized) >= 0.0)
+    assert np.all(beam_error(_pattern(g), _pattern(g)) == 0.0)
+    assert np.all(beam_error(_pattern(g), _pattern(h)) >= 0.0)
 
 
 def test_beam_error_closed_form():
-    # A constant 1 dB offset over 72 azimuths: root-sum-of-squares sqrt(72),
-    # RMS-normalized form 1.0.
+    # A constant 1 dB offset over 72 azimuths: root-sum-of-squares sqrt(72).
     ref = _pattern(np.zeros((72, 20)))
     test = _pattern(np.ones((72, 20)))
-    assert np.allclose(beam_error(ref, test, normalized=False), np.sqrt(72.0))
-    assert np.allclose(beam_error(ref, test, normalized=True), 1.0)
+    assert np.allclose(beam_error(ref, test), np.sqrt(72.0))
 
 
 def test_beam_error_grid_mismatch():
