@@ -37,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes that measure the cells (default: the "
-                        "CPUs available, or 1 without the fork start "
-                        "method); 1 runs them in this process")
+                   help="processes that calibrate the cue lookup and "
+                        "measure the cells (default: the CPUs available, "
+                        "or 1 without the fork start method); 1 runs them "
+                        "in this process")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("contour", help="extract a criterion contour from a "

@@ -292,7 +292,6 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
     def __init__(self, mic_spacing: float, stft: StftProcessor | None = None,
                  step: float = 0.05):
         super().__init__(stft)
-        self.mic_spacing = mic_spacing
         self.step = step
         freqs = self.stft.frequencies
         delay = mic_spacing / SPEED_OF_SOUND

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -347,64 +348,66 @@ class _Sweep:
         return out, ple
 
 
-# In a fork worker, the sweep whose units it measures; set by _start_worker.
-_WORKER_SWEEP: _Sweep | None = None
+# In a fork worker, the callable its pool runs; set by _start_worker.
+_WORKER_CALL = None
 
 
-def _start_worker(sweep: _Sweep) -> None:
-    global _WORKER_SWEEP
-    _WORKER_SWEEP = sweep
+def _start_worker(call) -> None:
+    global _WORKER_CALL
+    _WORKER_CALL = call
 
 
-def _run_unit(unit: tuple, sweep: _Sweep | None = None) -> tuple:
-    """(unit, measurements, None), or (unit, None, traceback) for a cell
-    that raised; measured by `sweep`, or by the worker's sweep. A failed
-    free-field reference raises: no cell of its pose can be compared
-    against it."""
+def _call_in_worker(arg):
+    return _WORKER_CALL(arg)
+
+
+def _pool_map(call, args, workers: int, handed_out=None) -> list:
+    """`[call(arg) for arg in args]`, with at most `workers` calls in
+    flight: on a fork pool of that many processes, capped at the number of
+    calls, or in this process when the cap is 1. `handed_out(arg)` is
+    called here as each call is handed out. A call that raises raises here;
+    a worker that dies breaks the pool, and this raises `BrokenProcessPool`
+    instead of waiting."""
+    workers = min(workers, len(args))
+    if workers <= 1:
+        pool = contextlib.nullcontext()
+    else:
+        # Forked workers share the set-up copy-on-write; `call` and what it
+        # references reach them without being pickled, only each argument
+        # and result is.
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(call,))
+    futures = []
+    pending = set()
+    with pool:
+        for arg in args:
+            if len(pending) == workers:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    future.result()
+            if handed_out is not None:
+                handed_out(arg)
+            if workers <= 1:
+                future = Future()
+                future.set_result(call(arg))
+            else:
+                future = pool.submit(_call_in_worker, arg)
+            futures.append(future)
+            pending.add(future)
+        return [future.result() for future in futures]
+
+
+def _run_unit(sweep: _Sweep, unit: tuple) -> tuple:
+    """(measurements, None), or (None, traceback) for a cell that raised.
+    A failed free-field reference raises: no cell of its pose can be
+    compared against it."""
     try:
-        return unit, (sweep or _WORKER_SWEEP).unit(*unit), None
+        return sweep.unit(*unit), None
     except Exception:
         if unit[0] is None:
             raise
-        return unit, None, traceback.format_exc(limit=3)
-
-
-def _run_units(sweep: _Sweep, units: list, workers: int, progress) -> dict:
-    """Measurements and traceback per unit, with at most `workers` units in
-    flight: on a fork pool, or in this process when `workers` is 1.
-    `progress(cell)` is called as each cell's unit is handed out. A worker
-    that dies breaks the pool, and the sweep raises instead of waiting."""
-    results = {}
-    pending = set()
-
-    def collect(finished):
-        for future in finished:
-            unit, *outcome = future.result()
-            results[unit] = outcome
-
-    if workers == 1:
-        pool = contextlib.nullcontext()
-    else:
-        # Forked workers share the set-up copy-on-write; `sweep` reaches
-        # them without being pickled.
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(sweep,))
-    with pool:
-        for unit in units:
-            if len(pending) == workers:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                collect(finished)
-            if progress is not None and unit[0] is not None:
-                progress(unit)
-            if workers == 1:
-                future = Future()
-                future.set_result(_run_unit(unit, sweep))
-            else:
-                future = pool.submit(_run_unit, unit)
-            pending.add(future)
-        collect(wait(pending).done)
-    return results
+        return None, traceback.format_exc(limit=3)
 
 
 def _default_workers() -> int:
@@ -424,7 +427,8 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     Each pose's free-field reference and each cell is one unit of work;
     `workers` processes (default: `_default_workers()`) measure them,
     forked after the shared set-up, and the errors are formed here in grid
-    order. The result does not depend on `workers`.
+    order. The cue lookup's columns are computed on such a pool too, before
+    the units. The result does not depend on `workers`.
 
     Deterministic for a given config; cell failures are recorded and leave
     NaNs in the affected surface instead of aborting the run. So does a
@@ -441,7 +445,6 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
         workers = _default_workers()
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
-    workers = min(workers, max(len(units), 1))
     if hrir_set is None:
         hrir_set = _load_hrirs(config)
     failures = []
@@ -464,9 +467,17 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
             hrir_set, ["beamformer_core"], design)["beamformer_core"]
     lookup = None
     if "ple" in config.metrics:
-        lookup = build_cue_lookup(hrir_set, seed=config.seed + 2)
+        lookup = build_cue_lookup(
+            hrir_set, seed=config.seed + 2,
+            map=functools.partial(_pool_map, workers=workers))
     sweep = _Sweep(config, hrir_set, algorithms, pattern_algorithm, lookup)
-    results = _run_units(sweep, units, workers, progress)
+
+    def handed_out(unit):
+        if progress is not None and unit[0] is not None:
+            progress(unit)
+
+    results = dict(zip(units, _pool_map(functools.partial(_run_unit, sweep),
+                                        units, workers, handed_out)))
 
     n_counts = len(config.speaker_counts)
     n_bands = len(sweep.grid)

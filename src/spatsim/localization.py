@@ -119,19 +119,28 @@ def _median_statistic(band: BandCues) -> float:
 
 
 def build_cue_lookup(hrir_set: HrirSet, probe_duration: float = 0.5,
-                     seed: int = 7,
-                     azimuths: np.ndarray = LOOKUP_AZIMUTHS) -> CueLookup:
+                     seed: int = 7, azimuths: np.ndarray = LOOKUP_AZIMUTHS,
+                     map=map) -> CueLookup:
     """Calibrate cue-to-azimuth tables by free-field probes at the HRIR
     distance to a centred listener, through the same receiver model used
-    for evaluation."""
+    for evaluation.
+
+    `map(column, azimuths)` computes the table's columns, one per azimuth
+    and in azimuth order; a pool's map may run them in other processes.
+    """
     probe = speech_shaped_noise(probe_duration, hrir_set.sample_rate, seed=seed)
-    fine = np.empty((FINE_BAND_COUNT, len(azimuths)))
-    for i, az in enumerate(azimuths):
+
+    def column(az: float) -> list:
+        """Per band, the median statistic of the probe from `az`."""
         src = VirtualSource(probe,
                             Position2D.from_polar(az, hrir_set.distance))
         rendered = render_reference(src, hrir_set, ListenerPose.center(),
                                     CHANNELS_LOCALIZATION)
-        fine[:, i] = [_median_statistic(b) for b in extract_cues(rendered)]
+        return [_median_statistic(b) for b in extract_cues(rendered)]
+
+    fine = np.empty((FINE_BAND_COUNT, len(azimuths)))
+    for i, values in enumerate(map(column, azimuths)):
+        fine[:, i] = values
     return CueLookup(azimuths=np.asarray(azimuths, dtype=float),
                      fine_tables=fine)
 

@@ -20,7 +20,7 @@ from spatsim.geometry import ListenerPose, Position2D, build_array
 from spatsim.haalgo import MvdrCoreBeamformer
 from spatsim.harness import (ALGORITHM_NAMES, CriterionTable, PleCell,
                              SweepConfig, _make_algorithms, aliasing_overlay,
-                             run_sweep, usable_bandwidth, write_surfaces_csv)
+                             run_sweep, write_surfaces_csv)
 from spatsim.hrir import CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION
 from spatsim.localization import (PLE_TARGET_AZIMUTHS, build_cue_lookup,
                                   localize)

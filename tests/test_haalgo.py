@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
-                            VirtualSource, render_reference,
-                            render_scene_stems, select_channels)
+from spatsim.binsim import (AudioBuffer, RenderOutput, VirtualSource,
+                            render_reference, render_scene_stems,
+                            select_channels)
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,

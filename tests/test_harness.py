@@ -1,4 +1,5 @@
 import os
+import pickle
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -8,6 +9,7 @@ import yaml
 from spatsim.cli import main
 from spatsim.haalgo import DesignError
 import spatsim.harness as harness
+import spatsim.localization as localization
 from spatsim.harness import (CriterionTable, ErrorSurface, PleCell,
                              SweepConfig, SweepResult, aliasing_overlay,
                              contour_extract, load_surfaces_csv, report,
@@ -16,7 +18,7 @@ from spatsim.harness import (CriterionTable, ErrorSurface, PleCell,
 from spatsim.binsim import (CALIBRATION_CHANNEL, ReceiverBank,
                             VirtualSource, render_source)
 from spatsim.geometry import Position2D
-from spatsim.hrir import CHANNELS_LOCALIZATION
+from spatsim.hrir import CHANNELS_LOCALIZATION, HrirSet
 from spatsim.metrics import make_third_octave_grid
 
 
@@ -240,17 +242,21 @@ def _small_ple(monkeypatch):
     real_lookup = harness.build_cue_lookup
     monkeypatch.setattr(
         harness, "build_cue_lookup",
-        lambda hs, seed: real_lookup(hs, probe_duration=0.2, seed=seed,
-                                     azimuths=np.arange(-60.0, 61.0, 15.0)))
+        lambda hs, seed, map: real_lookup(
+            hs, probe_duration=0.2, seed=seed,
+            azimuths=np.arange(-60.0, 61.0, 15.0), map=map))
     return targets
+
+
+# One PLE cell at the centre; with _small_ple, a quick PLE sweep.
+PLE_QUICK = SweepConfig.desk_scale(
+    speaker_counts=(8,), pose_offsets=(0.0,), methods=("nsp",),
+    metrics=("ple",))
 
 
 def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
     targets = _small_ple(monkeypatch)
-    config = SweepConfig.desk_scale(
-        speaker_counts=(8,), pose_offsets=(0.0,), methods=("nsp",),
-        metrics=("ple",))
-    result = run_sweep(config, hrir_set=hrir_set)
+    result = run_sweep(PLE_QUICK, hrir_set=hrir_set)
     assert result.failures == []
     ple = result.ple_cells[("nsp", 8, 0.0)]
     assert ple.errors.shape == targets.shape
@@ -422,7 +428,22 @@ def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
     assert np.isfinite(values[[0, 2]]).all() and np.isnan(values[1])
 
 
-def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch):
+def _lookup_probe_calls(monkeypatch, call):
+    """Makes every cue-lookup probe of a PLE sweep call `call()` before it
+    is rendered; returns the sweep's config."""
+    _small_ple(monkeypatch)
+    real_render = localization.render_reference
+
+    def render(*args):
+        call()
+        return real_render(*args)
+
+    monkeypatch.setattr(localization, "render_reference", render)
+    return PLE_QUICK
+
+
+@pytest.mark.parametrize("stage", ["reference", "lookup"])
+def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch, stage):
     real_stems = harness.render_scene_stems
 
     def failing_stems(scene, method, *args):
@@ -430,24 +451,58 @@ def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch):
             raise RuntimeError("no free-field stems")
         return real_stems(scene, method, *args)
 
-    monkeypatch.setattr(harness, "render_scene_stems", failing_stems)
-    with pytest.raises(RuntimeError, match="no free-field stems"):
-        run_sweep(QUICK, hrir_set=hrir_set, workers=2)
-    assert harness._WORKER_SWEEP is None
+    def failing_probe():
+        raise RuntimeError(f"no free-field probe in process {os.getpid()}")
+
+    if stage == "reference":
+        config, message = QUICK, "no free-field stems"
+        monkeypatch.setattr(harness, "render_scene_stems", failing_stems)
+    else:
+        config = _lookup_probe_calls(monkeypatch, failing_probe)
+        message = "no free-field probe in process"
+    with pytest.raises(RuntimeError, match=message) as raised:
+        run_sweep(config, hrir_set=hrir_set, workers=2)
+    if stage == "lookup":
+        assert int(str(raised.value).split()[-1]) != os.getpid()
+    assert harness._WORKER_CALL is None
 
 
-def test_dead_worker_fails_the_sweep(hrir_set, monkeypatch):
+@pytest.mark.parametrize("stage", ["unit", "lookup"])
+def test_dead_worker_fails_the_sweep(hrir_set, monkeypatch, stage):
     parent = os.getpid()
     real_build_array = harness.build_array
 
-    def dying_build_array(count, radius):
+    def die_in_worker():
         if os.getpid() != parent:
             os._exit(1)
+
+    def dying_build_array(count, radius):
+        die_in_worker()
         return real_build_array(count, radius=radius)
 
-    monkeypatch.setattr(harness, "build_array", dying_build_array)
+    if stage == "unit":
+        config = QUICK
+        monkeypatch.setattr(harness, "build_array", dying_build_array)
+    else:
+        config = _lookup_probe_calls(monkeypatch, die_in_worker)
     with pytest.raises(BrokenProcessPool):
-        run_sweep(QUICK, hrir_set=hrir_set, workers=2)
+        run_sweep(config, hrir_set=hrir_set, workers=2)
+
+
+def test_ple_sweep_pickles_no_hrir_set(hrir_set, monkeypatch):
+    """The pools' workers inherit the HRIR set by fork: a 2-worker PLE
+    sweep runs although the set cannot be pickled."""
+    _small_ple(monkeypatch)
+
+    def unpicklable(self, protocol):
+        raise TypeError("HrirSet pickled")
+
+    monkeypatch.setattr(HrirSet, "__reduce_ex__", unpicklable)
+    with pytest.raises(TypeError, match="HrirSet pickled"):
+        pickle.dumps(hrir_set)
+    result = run_sweep(PLE_QUICK, hrir_set=hrir_set, workers=2)
+    assert result.failures == []
+    assert np.isfinite(result.surface("ple", "nsp", 0.0).values).all()
 
 
 def test_workers_below_one_rejected(hrir_set):

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from spatsim.binsim import AudioBuffer, VirtualSource, render_reference
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.hrir import CHANNELS_LOCALIZATION
+import spatsim.harness as harness
 from spatsim.harness import PleCell
 from spatsim.localization import (build_cue_lookup, extract_cues,
                                   gammatone_band, gammatone_centers, localize)
@@ -53,6 +56,15 @@ def test_gammatone_band_rejects_remote_frequency():
 def test_extract_cues_requires_two_channels():
     with pytest.raises(ValueError):
         extract_cues(AudioBuffer(RATE, np.zeros((3, 256))))
+
+
+def test_lookup_on_the_sweep_pool_equals_the_builtin_map(hrir_set, lookup):
+    pooled = build_cue_lookup(hrir_set, probe_duration=0.4,
+                              map=functools.partial(harness._pool_map,
+                                                    workers=2))
+    assert np.array_equal(pooled.azimuths, lookup.azimuths)
+    assert np.array_equal(pooled.fine_tables, lookup.fine_tables,
+                          equal_nan=True)
 
 
 def test_free_field_self_consistency(hrir_set, lookup):
