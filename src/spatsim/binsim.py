@@ -85,7 +85,6 @@ class ReceiverBank:
                  pose: ListenerPose, channels: tuple):
         self.array = array
         self.set = hrir_set
-        self.pose = pose
         self.channels = tuple(channels)
         ch_idx = [hrir_set.channel_index(c) for c in self.channels]
         irs = [translate_listener(hrir_set, pose, s) for s in array.positions]

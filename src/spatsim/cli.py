@@ -31,9 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run the evaluation grid")
-    p.add_argument("--config", help="YAML sweep configuration")
-    p.add_argument("--preset", choices=["full", "desk"], default=None,
-                   help="built-in configuration preset")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="YAML sweep configuration")
+    source.add_argument("--preset", choices=["full", "desk"], default=None,
+                        help="built-in configuration preset")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None,

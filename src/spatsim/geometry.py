@@ -92,11 +92,6 @@ class SpeakerArray:
         """Angular distance between neighboring speakers in degrees."""
         return 360.0 / self.count
 
-    @property
-    def chord_distance(self) -> float:
-        """Euclidean distance between neighboring speakers: 2 R sin(pi/N)."""
-        return 2.0 * self.radius * math.sin(math.pi / self.count)
-
     def azimuth_of(self, k: int) -> float:
         return wrap_degrees(self.start_azimuth + k * self.spacing)
 

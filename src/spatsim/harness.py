@@ -32,9 +32,10 @@ from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
                    DEFAULT_HEAD_RADIUS, HrirSet, MicLayout, load_hrir_set,
                    synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
-from .metrics import (BandGrid, BeamPattern, NOMINAL_INPUT_SNRS, beam_error,
-                      beam_pattern, make_third_octave_grid, snr_error,
-                      snr_improvement, spectral_distance)
+from .metrics import (BandGrid, BeamPattern, NOMINAL_INPUT_SNRS,
+                      PATTERN_AZIMUTHS, beam_error, beam_pattern,
+                      make_third_octave_grid, snr_error, snr_improvement,
+                      spectral_distance)
 from .panner import ReproductionMethod, aliasing_limit
 from .signals import make_default_scene, speech_shaped_noise
 from .stft import StftProcessor
@@ -299,8 +300,17 @@ class _Sweep:
                                 hrir_set, pose, self.channels)
         out = _Measured()
         if self.pattern_algorithm is not None:
+            # Free field: NSP on a ring with a speaker on every probe
+            # azimuth, which renders each probe as its own loudspeaker.
+            pattern_method, pattern_bank = method, bank
+            if method is None:
+                pattern_method = ReproductionMethod.NSP
+                pattern_bank = ReceiverBank(
+                    build_array(len(PATTERN_AZIMUTHS),
+                                radius=hrir_set.distance),
+                    hrir_set, pose, self.pattern_algorithm.channels)
             out.pattern = beam_pattern(
-                self.pattern_algorithm, method, bank, hrir_set, pose,
+                self.pattern_algorithm, pattern_method, pattern_bank,
                 self.grid, probe_duration=config.pattern_probe_duration,
                 seed=config.seed)
         if self.scene is not None:
@@ -527,8 +537,7 @@ def aliasing_overlay(config: SweepConfig, pose_offset: float) -> np.ndarray:
     """f_max per configured N; the listening radius is the distance of the
     far ear from the array center."""
     r = abs(pose_offset) + config.head_radius
-    return np.array([aliasing_limit(n, r).max_frequency
-                     for n in config.speaker_counts])
+    return np.array([aliasing_limit(n, r) for n in config.speaker_counts])
 
 
 def contour_extract(surface: ErrorSurface, threshold: float) -> list:

@@ -9,11 +9,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .binsim import (AudioBuffer, RenderOutput, noise_scale,
-                     render_reference, ReceiverBank, VirtualSource)
+from .binsim import AudioBuffer, RenderOutput, noise_scale, ReceiverBank
 from .dsp import erb_bandwidth, erb_number, erb_to_hz
-from .geometry import ListenerPose, Position2D
-from .hrir import HrirSet
+from .geometry import Position2D
 from .panner import method_weights
 from .signals import white_noise
 
@@ -107,47 +105,41 @@ class BeamPattern:
     gains_db: np.ndarray        # (n_azimuths, n_bands)
 
 
-def beam_pattern(algorithm, method, bank: ReceiverBank | None,
-                 hrir_set: HrirSet, pose: ListenerPose, grid: BandGrid,
+def beam_pattern(algorithm, method, bank: ReceiverBank, grid: BandGrid,
                  probe_duration: float = 1.0, seed: int = 0,
                  azimuths: np.ndarray = PATTERN_AZIMUTHS) -> BeamPattern:
-    """Band gains versus probe azimuth through the full reproduction and
-    processing chain, for probes at the array radius, or in free field at
-    the HRIR distance. `method=None` measures the free-field reference (no
-    bank); otherwise the probes go through the algorithm's channels of
-    `bank`. `algorithm` must be linear (the MVDR core is; the post-filtered
-    MvdrBeamformer is not): all probes lie at one distance, so a cell mixes
-    the spectra of one response per loudspeaker with each azimuth's
-    weights, which equals rendering each azimuth up to round-off."""
-    probe = white_noise(probe_duration, hrir_set.sample_rate, seed=seed)
-    source_distance = (bank.array.radius if bank is not None
-                       else hrir_set.distance)
-    positions = [Position2D.from_polar(az, source_distance)
-                 for az in azimuths]
-    if method is None:
-        responses = (render_reference(VirtualSource(probe, p), hrir_set,
-                                      pose, algorithm.channels)
-                     for p in positions)
-    else:
-        bank = bank.select(algorithm.channels)
-        weights = [method_weights(method, bank.array, p) for p in positions]
-        # Speaker s alone, at the probes' shared delay and attenuation.
-        responses = (AudioBuffer(bank.set.sample_rate, fftconvolve(
-            probe[None, :], bank.weighted_ir(replace(weights[0], weights=s)),
-            axes=1)) for s in np.eye(bank.array.count))
+    """Band gains versus probe azimuth through the reproduction and
+    processing chain, for probes on the circle of the bank's array. The
+    free-field pattern is the NSP pattern of a ring with one speaker on
+    every probe azimuth: a probe on a speaker is its own NSP rendering.
+
+    The probe goes through the algorithm's channels of `bank` once per
+    speaker, and each azimuth mixes the spectra of those responses with its
+    driving weights. That equals rendering and processing every azimuth up
+    to round-off only because all probes lie at one distance and
+    `algorithm` is linear (the MVDR core is; the post-filtered
+    MvdrBeamformer is not)."""
+    bank = bank.select(algorithm.channels)
+    probe = white_noise(probe_duration, bank.set.sample_rate, seed=seed)
+    weights = [method_weights(method, bank.array,
+                              Position2D.from_polar(az, bank.array.radius))
+               for az in azimuths]
     ref_idx = list(algorithm.reference_channel_indices)
-    spectra = ([], [])      # input and output, (response, channel, bin)
-    for rendered in responses:
+    spectra = ([], [])      # input and output, (speaker, channel, bin)
+    for s in np.eye(bank.array.count):
+        # Speaker s alone, at the probes' shared delay and attenuation.
+        rendered = AudioBuffer(bank.set.sample_rate, fftconvolve(
+            probe[None, :], bank.weighted_ir(replace(weights[0], weights=s)),
+            axes=1))
         for out, x in zip(spectra, (rendered.samples[ref_idx],
                                     algorithm.process(rendered).samples)):
             span, bounds, n = _band_span(x, rendered.sample_rate, grid)
             out.append(span)
-    spectra = [np.stack(s) for s in spectra]
-    if method is not None:
-        mix = np.array([w.weights for w in weights])    # (azimuth, speaker)
-        spectra = [np.tensordot(mix, s, axes=(1, 0)) for s in spectra]
+    mix = np.array([w.weights for w in weights])    # (azimuth, speaker)
     p_in, p_out = [np.array([_band_powers(a, bounds, n).sum(axis=0)
-                             for a in s]) for s in spectra]
+                             for a in np.tensordot(mix, np.stack(s),
+                                                   axes=(1, 0))])
+                   for s in spectra]
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = 10.0 * np.log10(p_out / p_in)
     gains[~np.isfinite(gains)] = BEAM_PATTERN_FLOOR_DB

@@ -52,14 +52,12 @@ def nsp_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
     return DrivingWeights(w, delay, atten)
 
 
-def vbap_weights(array: SpeakerArray, source: Position2D,
-                 normalize: bool = False) -> DrivingWeights:
+def vbap_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
     """Amplitude panning over the bracketing speaker pair.
 
     Solves [w_l w_m] S = r_hat for the unit source vector r_hat and the 2x2
-    matrix S of bracketing speaker unit vectors. With `normalize`, the pair is
-    rescaled to unit power (off by default; the raw solution reconstructs the
-    source unit vector exactly).
+    matrix S of bracketing speaker unit vectors. The raw solution, not
+    rescaled to unit power, reconstructs the source unit vector exactly.
     """
     delay, atten = _source_terms(source)
     l, m = speaker_pair(array, source.azimuth)
@@ -70,8 +68,6 @@ def vbap_weights(array: SpeakerArray, source: Position2D,
         raise ValueError(f"degenerate speaker pair ({l}, {m}): collinear unit vectors")
     r_hat = np.array([source.x, source.y]) / source.norm()
     pair = np.linalg.solve(s.T, r_hat)
-    if normalize:
-        pair = pair / np.linalg.norm(pair)
     w = np.zeros(array.count)
     w[l], w[m] = pair
     return DrivingWeights(w, delay, atten)
@@ -119,17 +115,7 @@ def method_weights(method: ReproductionMethod, array: SpeakerArray,
     return _WEIGHT_FUNCS[method](array, source)
 
 
-@dataclass(frozen=True)
-class AliasingPrediction:
-    """Spatial-aliasing limit linking frequency, speaker count and radius."""
-
-    max_frequency: float
-    min_speakers: int
-    usable_radius: float
-
-
-def aliasing_limit(speaker_count: int,
-                   listening_radius: float) -> AliasingPrediction:
+def aliasing_limit(speaker_count: int, listening_radius: float) -> float:
     """Highest alias-free frequency for a listening radius: c (N-1) / (4 pi r).
 
     For even N the largest integer ambisonics order is N/2 - 1, so the
@@ -137,11 +123,10 @@ def aliasing_limit(speaker_count: int,
     """
     if listening_radius < 0:
         raise ValueError("listening radius must be >= 0")
-    n_min = speaker_count - 1
     if listening_radius == 0.0:
-        return AliasingPrediction(math.inf, speaker_count, math.inf)
-    f_max = SPEED_OF_SOUND * n_min / (4.0 * math.pi * listening_radius)
-    return AliasingPrediction(f_max, speaker_count, listening_radius)
+        return math.inf
+    n_min = speaker_count - 1
+    return SPEED_OF_SOUND * n_min / (4.0 * math.pi * listening_radius)
 
 
 def speakers_for_bandwidth(frequency: float, listening_radius: float) -> int:

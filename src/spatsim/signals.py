@@ -154,15 +154,3 @@ def make_default_scene(duration: float, sample_rate: int,
                                    seed=rng.integers(1 << 31)),
             position=Position2D.from_polar(az, dist)))
     return SceneSpec(target=target, noises=tuple(noises))
-
-
-def scene_layout(scene: SceneSpec) -> list:
-    """Serializable source layout (role, azimuth, distance)."""
-    rows = [{"role": "target",
-             "azimuth": scene.target.position.azimuth,
-             "distance": scene.target.position.distance}]
-    for src in scene.noises:
-        rows.append({"role": "noise",
-                     "azimuth": src.position.azimuth,
-                     "distance": src.position.distance})
-    return rows

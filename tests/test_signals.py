@@ -3,8 +3,8 @@ import pytest
 
 from spatsim.metrics import make_third_octave_grid, third_octave_analyze
 from spatsim.signals import (cafeteria_noise, make_default_scene,
-                             scene_layout, speech_shaped_noise,
-                             synthetic_speech, white_noise)
+                             speech_shaped_noise, synthetic_speech,
+                             white_noise)
 
 RATE = 48000
 
@@ -45,6 +45,18 @@ def test_synthetic_speech_has_pauses_and_activity():
     power = np.mean(frames ** 2, axis=1)
     active = power > 0.05 * power.mean()
     assert 0.3 < active.mean() < 0.95
+
+
+def scene_layout(scene):
+    """Serializable source layout (role, azimuth, distance)."""
+    rows = [{"role": "target",
+             "azimuth": scene.target.position.azimuth,
+             "distance": scene.target.position.distance}]
+    for src in scene.noises:
+        rows.append({"role": "noise",
+                     "azimuth": src.position.azimuth,
+                     "distance": src.position.distance})
+    return rows
 
 
 def test_default_scene_layout():
