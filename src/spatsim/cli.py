@@ -14,7 +14,7 @@ import numpy as np
 
 from .binsim import ReceiverBank, VirtualSource, render_reference, render_source
 from .geometry import ListenerPose, Position2D, build_array
-from .harness import (CriterionTable, SweepConfig, contour_extract,
+from .harness import (SweepConfig, contour_extract, criterion,
                       load_surfaces_csv, report, run_sweep, write_manifest,
                       write_surfaces_csv, _make_algorithms)
 from .hrir import (CHANNELS, DEFAULT_HEAD_RADIUS, DEFAULT_SAMPLE_RATE,
@@ -134,7 +134,7 @@ def _cmd_contour(args) -> int:
     surface = result.surface(args.metric, args.method, args.pose, algorithm)
     threshold = args.threshold
     if threshold is None:
-        threshold = CriterionTable().threshold(args.metric, algorithm)
+        threshold = criterion(args.metric, algorithm)
     points = contour_extract(surface, threshold)
     if not points:
         print("no contour: surface never crosses the threshold")

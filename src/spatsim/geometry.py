@@ -63,9 +63,6 @@ class Position2D:
     def __sub__(self, other: "Position2D") -> "Position2D":
         return Position2D(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "Position2D") -> "Position2D":
-        return Position2D(self.x + other.x, self.y + other.y)
-
 
 @dataclass(frozen=True)
 class SpeakerArray:

@@ -55,19 +55,16 @@ class SpectralGainAlgorithm:
     def __init__(self, stft: StftProcessor | None = None):
         self.stft = stft or StftProcessor()
 
-    # Subclasses: derive the linear operation from the mixture STFT.
-    def _operation(self, mix_spec: np.ndarray, aux: dict):
+    # Subclasses: derive the linear operation from the mixture STFT; only
+    # oracle algorithms read `noise_spec`, the STFT of the noise in the
+    # mixture (None where it is unknown).
+    def _operation(self, mix_spec: np.ndarray, noise_spec: np.ndarray | None):
         raise NotImplementedError
 
     # Subclasses: apply the derived operation to any STFT with the same
     # channel layout as the input.
     def _apply(self, op, spec: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _aux(self, noise_spec: np.ndarray) -> dict:
-        """Inputs of `_operation` besides the mixture, from the STFT of the
-        noise in the mixture. Only oracle algorithms read it."""
-        return {}
 
     @property
     def reference_channel_indices(self) -> tuple:
@@ -87,7 +84,7 @@ class SpectralGainAlgorithm:
                 f"{self.name} expects {len(self.channels)} channels, "
                 f"got {buf.channels}")
         spec = self.stft.analyze(buf.samples)
-        return self._synthesize(self._operation(spec, {}), spec,
+        return self._synthesize(self._operation(spec, None), spec,
                                 buf.samples.shape[1], buf.sample_rate)
 
     def analyze_stems(self, stems: RenderOutput) -> tuple:
@@ -111,7 +108,7 @@ class SpectralGainAlgorithm:
         target_spec, noise_spec = spectra
         noise_spec = noise_scale * noise_spec
         mix_spec = target_spec + noise_spec
-        op = self._operation(mix_spec, self._aux(noise_spec))
+        op = self._operation(mix_spec, noise_spec)
         specs = (target_spec, noise_spec)
         if with_mixture:
             specs = (mix_spec,) + specs
@@ -224,7 +221,7 @@ class MvdrBeamformer(SpectralGainAlgorithm):
         super().__init__(stft)
         self.design = design
 
-    def _operation(self, mix_spec: np.ndarray, aux: dict) -> np.ndarray:
+    def _operation(self, mix_spec: np.ndarray, noise_spec) -> np.ndarray:
         w = self.design.weights
         d = self.design.propagation
         # Beamformer output and blocking residual per (frame, bin).
@@ -262,7 +259,7 @@ class MvdrCoreBeamformer(SpectralGainAlgorithm):
         super().__init__(stft)
         self.design = design
 
-    def _operation(self, mix_spec: np.ndarray, aux: dict):
+    def _operation(self, mix_spec: np.ndarray, noise_spec):
         return None
 
     def _apply(self, op, spec: np.ndarray) -> np.ndarray:
@@ -313,7 +310,7 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
         c_back = rear - front * self.phase[None, :]
         return c_front, c_back
 
-    def _operation(self, mix_spec: np.ndarray, aux: dict) -> AdmState:
+    def _operation(self, mix_spec: np.ndarray, noise_spec) -> AdmState:
         c_front, c_back = self._cardioids(mix_spec)
         frames = mix_spec.shape[1]
         beta = np.zeros((frames, self.n_bands))
@@ -361,7 +358,7 @@ class CoherenceNoiseReduction(SpectralGainAlgorithm):
         super().__init__(stft)
         self.beta = efficiency_profile(self.stft.frequencies)
 
-    def _operation(self, mix_spec: np.ndarray, aux: dict) -> np.ndarray:
+    def _operation(self, mix_spec: np.ndarray, noise_spec) -> np.ndarray:
         cross = mix_spec[0] * np.conj(mix_spec[1])
         mag = np.abs(cross)
         ipd_vec = np.where(mag > 0.0, cross / np.maximum(mag, 1e-300), 1.0)
@@ -391,18 +388,15 @@ class SingleChannelNoiseReduction(SpectralGainAlgorithm):
     dd_alpha = 0.5              # decision-directed smoothing
     gain_floor = 0.01           # -40 dB
 
-    def _aux(self, noise_spec: np.ndarray) -> dict:
-        return {"noise_spec": noise_spec[0]}
-
     def process(self, buf: AudioBuffer) -> AudioBuffer:
         raise TypeError("oracle algorithm: use shadow")
 
-    def _operation(self, mix_spec: np.ndarray, aux: dict) -> np.ndarray:
-        noise_spec = aux.get("noise_spec")
+    def _operation(self, mix_spec: np.ndarray,
+                   noise_spec: np.ndarray | None) -> np.ndarray:
         if noise_spec is None:
             raise ValueError("oracle noise spectrum required")
         x2 = np.abs(mix_spec[0]) ** 2
-        lam = np.maximum(np.abs(noise_spec) ** 2, 1e-30)
+        lam = np.maximum(np.abs(noise_spec[0]) ** 2, 1e-30)
         frames, bins = x2.shape
         gains = np.empty((frames, bins))
         prev_s2 = np.zeros(bins)

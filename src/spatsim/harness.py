@@ -32,10 +32,9 @@ from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
                    DEFAULT_HEAD_RADIUS, HrirSet, MicLayout, load_hrir_set,
                    synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
-from .metrics import (BandGrid, BeamPattern, NOMINAL_INPUT_SNRS,
-                      PATTERN_AZIMUTHS, beam_error, beam_pattern,
-                      make_third_octave_grid, snr_error, snr_improvement,
-                      spectral_distance)
+from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
+                      beam_error, beam_pattern, make_third_octave_grid,
+                      snr_error, snr_improvement, spectral_distance)
 from .panner import ReproductionMethod, aliasing_limit
 from .signals import make_default_scene, speech_shaped_noise
 from .stft import StftProcessor
@@ -67,6 +66,15 @@ class SweepConfig:
     hrir_source: str = "sphere"         # "sphere" or a saved-set directory
     head_radius: float = DEFAULT_HEAD_RADIUS
     output_dir: str = "sweep_out"
+
+    def __post_init__(self):
+        for key, known in (
+                ("metrics", METRIC_NAMES), ("algorithms", ALGORITHM_NAMES),
+                ("methods", [method.value for method in ReproductionMethod])):
+            unknown = [name for name in getattr(self, key) if name not in known]
+            if unknown:
+                raise ValueError(f"unknown {key}: {unknown}; known: "
+                                 f"{list(known)}")
 
     @classmethod
     def desk_scale(cls, **overrides) -> "SweepConfig":
@@ -118,21 +126,19 @@ class SweepConfig:
                 for off in self.pose_offsets]
 
 
-@dataclass(frozen=True)
-class CriterionTable:
-    """Error thresholds, one per instrumental measure."""
+# The published error thresholds of the banded metrics, in dB.
+BEAM_CRITERION_DB = 5.7
+SNR_CRITERION_DB = {"beamformer": 0.75, "adm": 0.42, "coherence_nr": 0.42,
+                    "single_nr": 0.65}
 
-    beam_db: float = 5.7
-    snr_db: dict = field(default_factory=lambda: {
-        "beamformer": 0.75, "adm": 0.42, "coherence_nr": 0.42,
-        "single_nr": 0.65})
 
-    def threshold(self, metric: str, algorithm: str | None = None) -> float:
-        if metric == "beam":
-            return self.beam_db
-        if metric == "snr":
-            return self.snr_db[algorithm]
-        raise KeyError(f"no criterion for metric {metric!r}")
+def criterion(metric: str, algorithm: str | None = None) -> float:
+    """The error threshold of a banded metric, per algorithm for SNR."""
+    if metric == "beam":
+        return BEAM_CRITERION_DB
+    if metric == "snr":
+        return SNR_CRITERION_DB[algorithm]
+    raise KeyError(f"no criterion for metric {metric!r}")
 
 
 @dataclass
@@ -210,16 +216,14 @@ _UNION_CHANNELS = CHANNELS_BEAMFORMER        # superset of all algorithm inputs
 
 def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
     """Algorithms by name, on an STFT at the HRIR set's sample rate; the
-    beamformer and its linear core ("beamformer_core") use `design`, or
-    design their own when none is given."""
+    beamformer uses `design`, or designs its own when none is given."""
     stft = StftProcessor(sample_rate=hrir_set.sample_rate)
     algos = {}
     for name in names:
-        if name in ("beamformer", "beamformer_core"):
+        if name == "beamformer":
             if design is None:
                 design = design_mvdr(hrir_set, stft=stft)
-            cls = MvdrBeamformer if name == "beamformer" else MvdrCoreBeamformer
-            algos[name] = cls(design, stft=stft)
+            algos[name] = MvdrBeamformer(design, stft=stft)
         elif name == "adm":
             algos[name] = AdaptiveDifferentialMic(
                 mic_spacing=MicLayout().bte_pair_spacing, stft=stft)
@@ -232,44 +236,74 @@ def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
     return algos
 
 
-@dataclass
-class _Measured:
-    """Raw measurements of one unit of work: a pose's free-field reference or
-    one (method, N) cell at that pose."""
+def _surface_keys(config: SweepConfig) -> list:
+    """The (metric, algorithm) of each surface a sweep gives per (method,
+    pose), in METRIC_NAMES order; SNR has one per configured algorithm."""
+    return [(metric, algorithm) for metric in METRIC_NAMES
+            if metric in config.metrics
+            for algorithm in (config.algorithms if metric == "snr"
+                              else (None,))]
 
-    pattern: BeamPattern | None = None
-    sweeps: dict = field(default_factory=dict)      # algorithm -> SnrSweep
-    # Per PLE target: the fine azimuth estimate, and for a cell the
-    # spectral distance from the free-field render.
-    azimuths: list = field(default_factory=list)
-    distances: list = field(default_factory=list)
+
+# Per metric, a cell's error from its reference's raw measurement (None for
+# spectral, which is measured against the free-field renders) and its own.
+_ERRORS = {
+    "beam": beam_error,
+    "snr": snr_error,
+    "ple": lambda ref, test: PleCell.from_estimates(test, ref),
+    "spectral": lambda ref, test: test,
+}
 
 
 class _Sweep:
     """Everything the units of a sweep share, built once before the workers
-    fork: the algorithms, the cue lookup, the scene, the PLE probe and its
-    free-field renders per pose."""
+    fork, and only what the configured metrics use: the MVDR design, the
+    algorithms, the cue lookup (calibrated through `map`), the scene, the
+    PLE probe and its free-field renders per pose.
 
-    def __init__(self, config: SweepConfig, hrir_set: HrirSet,
-                 algorithms: dict, pattern_algorithm, lookup):
+    A failed MVDR design is recorded in `failures`; the surfaces that need
+    it then stay NaN.
+    """
+
+    def __init__(self, config: SweepConfig, hrir_set: HrirSet, map=map):
         self.config = config
         self.hrir_set = hrir_set
         self.grid = config.band_grid()
-        self.algorithms = algorithms
-        self.pattern_algorithm = pattern_algorithm
-        self.lookup = lookup
         self.poses = dict(zip(config.pose_offsets, config.poses()))
+        self.failures = []
+        metrics = config.metrics
+        snr_names = config.algorithms if "snr" in metrics else ()
+        design = None
+        if "beam" in metrics or "beamformer" in snr_names:
+            try:
+                design = design_mvdr(hrir_set)
+            except DesignError:
+                self.failures.append((("design_mvdr",),
+                                      traceback.format_exc(limit=3)))
+        self.algorithms = _make_algorithms(
+            hrir_set, [name for name in snr_names
+                       if design is not None or name != "beamformer"], design)
+        # The beam pattern uses the linear beamformer core; the time-variant
+        # post filter would dominate the pattern differences at all
+        # frequencies.
         used = set()
-        if pattern_algorithm is not None:
-            used.update(pattern_algorithm.channels)
+        self.pattern_algorithm = None
+        if "beam" in metrics and design is not None:
+            self.pattern_algorithm = MvdrCoreBeamformer(
+                design, stft=StftProcessor(sample_rate=hrir_set.sample_rate))
+            used.update(self.pattern_algorithm.channels)
+        self.lookup = None
+        if "ple" in metrics:
+            self.lookup = build_cue_lookup(hrir_set, seed=config.seed + 2,
+                                           map=map)
         self.scene = None
-        if "snr" in config.metrics:
+        if "snr" in metrics:
             used.update(_UNION_CHANNELS + (CALIBRATION_CHANNEL,))
             self.scene = make_default_scene(
                 config.scene_duration, config.sample_rate,
                 n_noise=config.n_noise_sources, seed=config.seed)
         self.ref_renders = {}
-        if "ple" in config.metrics or "spectral" in config.metrics:
+        if "ple" in metrics or "spectral" in metrics:
             used.update(CHANNELS_LOCALIZATION)
             self.probe = speech_shaped_noise(1.0, config.sample_rate,
                                              seed=config.seed + 1)
@@ -286,9 +320,12 @@ class _Sweep:
             azimuth, self.config.array_radius))
 
     def unit(self, method_name: str | None, count: int | None,
-             pose_offset: float) -> _Measured:
-        """The measurements of one cell, or with `method_name=None` of the
-        free-field reference at the pose."""
+             pose_offset: float) -> dict:
+        """The raw measurements of one cell, or with `method_name=None` of
+        the free-field reference at the pose, by (metric, algorithm): the
+        beam pattern, an SNR sweep per algorithm, the fine azimuth per PLE
+        target, and for a cell its mean spectral distance from the
+        free-field renders."""
         config, hrir_set = self.config, self.hrir_set
         pose = self.poses[pose_offset]
         method = bank = None
@@ -298,7 +335,7 @@ class _Sweep:
             # own channels of it.
             bank = ReceiverBank(build_array(count, radius=config.array_radius),
                                 hrir_set, pose, self.channels)
-        out = _Measured()
+        out = {}
         if self.pattern_algorithm is not None:
             # Free field: NSP on a ring with a speaker on every probe
             # azimuth, which renders each probe as its own loudspeaker.
@@ -309,53 +346,37 @@ class _Sweep:
                     build_array(len(PATTERN_AZIMUTHS),
                                 radius=hrir_set.distance),
                     hrir_set, pose, self.pattern_algorithm.channels)
-            out.pattern = beam_pattern(
+            out["beam", None] = beam_pattern(
                 self.pattern_algorithm, pattern_method, pattern_bank,
                 self.grid, probe_duration=config.pattern_probe_duration,
                 seed=config.seed)
         if self.scene is not None:
             stems = render_scene_stems(self.scene, method, bank, hrir_set,
                                        pose, _UNION_CHANNELS)
-            out.sweeps = {
-                name: snr_improvement(
+            for name, alg in self.algorithms.items():
+                out["snr", name] = snr_improvement(
                     alg, select_channels(stems, alg.channels), self.grid,
                     input_snrs=config.input_snrs)
-                for name, alg in self.algorithms.items() if alg is not None}
         refs = self.ref_renders.get(pose_offset, ())
         if refs and bank is not None:
             bank = bank.select(CHANNELS_LOCALIZATION)
+        ple = "ple" in config.metrics
+        spectral = "spectral" in config.metrics and method is not None
+        azimuths, distances = [], []
         for az, ref in zip(PLE_TARGET_AZIMUTHS, refs):
             buf = ref
             if method is not None:
                 buf = render_source(method, bank, self._probe_source(az))
-            if "ple" in config.metrics:
-                out.azimuths.append(localize(buf, self.lookup).fine_azimuth)
-            if "spectral" in config.metrics and method is not None:
-                out.distances.append(spectral_distance(
+            if ple:
+                azimuths.append(localize(buf, self.lookup).fine_azimuth)
+            if spectral:
+                distances.append(spectral_distance(
                     ref.samples[0], buf.samples[0], buf.sample_rate))
+        if ple:
+            out["ple", None] = azimuths
+        if spectral:
+            out["spectral", None] = float(np.mean(distances))
         return out
-
-    def errors(self, ref: _Measured, test: _Measured) -> tuple:
-        """All metric values of a cell from its and its reference's
-        measurements, and its PleCell (None unless PLE is measured)."""
-        metrics = self.config.metrics
-        nan = np.full(len(self.grid), np.nan)
-        out = {}
-        ple = None
-        if "beam" in metrics:
-            out["beam"] = (nan if test.pattern is None else
-                           beam_error(ref.pattern, test.pattern))
-        if "snr" in metrics:
-            for name in self.algorithms:
-                out[("snr", name)] = (
-                    snr_error(ref.sweeps[name], test.sweeps[name])
-                    if name in test.sweeps else nan)
-        if "ple" in metrics:
-            ple = PleCell.from_estimates(test.azimuths, ref.azimuths)
-            out["ple"] = ple.value
-        if "spectral" in metrics:
-            out["spectral"] = float(np.mean(test.distances))
-        return out, ple
 
 
 # In a fork worker, the callable its pool runs; set by _start_worker.
@@ -440,47 +461,26 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     order. The cue lookup's columns are computed on such a pool too, before
     the units. The result does not depend on `workers`.
 
-    Deterministic for a given config; cell failures are recorded and leave
-    NaNs in the affected surface instead of aborting the run. So does a
-    failed MVDR design, in the beamformer's SNR surfaces and the beam
-    surfaces.
+    Deterministic for a given config, which alone decides the surfaces
+    (`_surface_keys` per method and pose); cell failures are recorded and
+    leave NaNs in the affected surfaces instead of aborting the run. So
+    does a failed MVDR design, in the beamformer's SNR surfaces and the
+    beam surfaces.
     """
-    units = []
-    for offset in config.pose_offsets:
-        units.append((None, None, offset))
-        units += [(method_name, count, offset)
-                  for method_name in config.methods
-                  for count in config.speaker_counts]
     if workers is None:
         workers = _default_workers()
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     if hrir_set is None:
         hrir_set = _load_hrirs(config)
-    failures = []
-    design = None
-    if "beamformer" in config.algorithms or "beam" in config.metrics:
-        try:
-            design = design_mvdr(hrir_set)
-        except DesignError:
-            failures.append((("design_mvdr",), traceback.format_exc(limit=3)))
-    # Without a design the beamformer stays None and its surfaces NaN.
-    algorithms = dict.fromkeys(config.algorithms)
-    algorithms.update(_make_algorithms(
-        hrir_set, [name for name in config.algorithms
-                   if design is not None or name != "beamformer"], design))
-    # The beam pattern uses the linear beamformer core; the time-variant post
-    # filter would dominate the pattern differences at all frequencies.
-    pattern_algorithm = None
-    if "beam" in config.metrics and design is not None:
-        pattern_algorithm = _make_algorithms(
-            hrir_set, ["beamformer_core"], design)["beamformer_core"]
-    lookup = None
-    if "ple" in config.metrics:
-        lookup = build_cue_lookup(
-            hrir_set, seed=config.seed + 2,
-            map=functools.partial(_pool_map, workers=workers))
-    sweep = _Sweep(config, hrir_set, algorithms, pattern_algorithm, lookup)
+    sweep = _Sweep(config, hrir_set,
+                   functools.partial(_pool_map, workers=workers))
+    units = []
+    for offset in config.pose_offsets:
+        units.append((None, None, offset))
+        units += [(method_name, count, offset)
+                  for method_name in config.methods
+                  for count in config.speaker_counts]
 
     def handed_out(unit):
         if progress is not None and unit[0] is not None:
@@ -491,42 +491,37 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
 
     n_counts = len(config.speaker_counts)
     n_bands = len(sweep.grid)
-    store = {}
-
-    def _surface_for(metric, method, pose_offset, algorithm=None):
-        key = (metric, method, pose_offset, algorithm)
-        if key not in store:
-            banded = metric in ("beam", "snr")
-            store[key] = ErrorSurface(
-                metric=metric, method=method, pose_offset=pose_offset,
-                algorithm=algorithm, speaker_counts=config.speaker_counts,
-                band_centers=sweep.grid.centers.copy() if banded else None,
-                values=np.full((n_counts, n_bands) if banded else n_counts,
-                               np.nan))
-        return store[key]
-
+    surfaces = []
+    failures = list(sweep.failures)
     ple_cells = {}
     for pose_offset in config.pose_offsets:
         ref, _ = results[(None, None, pose_offset)]
         for method_name in config.methods:
+            row = {}
+            for metric, algorithm in _surface_keys(config):
+                banded = metric in ("beam", "snr")
+                row[metric, algorithm] = ErrorSurface(
+                    metric=metric, method=method_name,
+                    pose_offset=pose_offset, algorithm=algorithm,
+                    speaker_counts=config.speaker_counts,
+                    band_centers=sweep.grid.centers.copy() if banded else None,
+                    values=np.full((n_counts, n_bands) if banded else n_counts,
+                                   np.nan))
             for i, count in enumerate(config.speaker_counts):
                 cell = (method_name, count, pose_offset)
                 test, error = results[cell]
                 if error is not None:
                     failures.append((cell, error))
                     continue
-                values, ple = sweep.errors(ref, test)
-                if ple is not None:
-                    ple_cells[cell] = ple
-                for key, val in values.items():
-                    metric, algorithm = (key if isinstance(key, tuple)
-                                         else (key, None))
-                    surf = _surface_for(metric, method_name, pose_offset,
-                                        algorithm)
-                    surf.values[i] = val
-    return SweepResult(config=config, surfaces=list(store.values()),
-                       failures=failures, config_hash=config.config_hash(),
-                       ple_cells=ple_cells)
+                for key, measured in test.items():
+                    value = _ERRORS[key[0]](ref.get(key), measured)
+                    if isinstance(value, PleCell):
+                        ple_cells[cell] = value
+                        value = value.value
+                    row[key].values[i] = value
+            surfaces += row.values()
+    return SweepResult(config=config, surfaces=surfaces, failures=failures,
+                       config_hash=config.config_hash(), ple_cells=ple_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +665,13 @@ def write_manifest(result: SweepResult, path) -> None:
 def report(result: SweepResult) -> str:
     """Human-readable usable-bandwidth summary for every criterion metric,
     at the published criteria."""
-    criteria = CriterionTable()
     lines = [f"sweep report (config {result.config_hash})", ""]
     if not result.surfaces:
         return "\n".join(lines + ["no surfaces computed"])
     for surf in sorted(result.surfaces, key=lambda s: str(s.key())):
         if surf.metric not in ("beam", "snr"):
             continue
-        thr = criteria.threshold(surf.metric, surf.algorithm)
+        thr = criterion(surf.metric, surf.algorithm)
         bw = usable_bandwidth(surf, thr)
         name = surf.metric + (f"/{surf.algorithm}" if surf.algorithm else "")
         lines.append(f"{name} {surf.method} pose={surf.pose_offset:g} m "

@@ -18,7 +18,7 @@ from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
                             render_source, select_channels)
 from spatsim.geometry import ListenerPose, Position2D, build_array
 from spatsim.haalgo import MvdrCoreBeamformer
-from spatsim.harness import (ALGORITHM_NAMES, CriterionTable, PleCell,
+from spatsim.harness import (ALGORITHM_NAMES, BEAM_CRITERION_DB, PleCell,
                              SweepConfig, _make_algorithms, aliasing_overlay,
                              run_sweep, write_surfaces_csv)
 from spatsim.hrir import CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION
@@ -335,7 +335,7 @@ def test_criterion_5_ordering_claims(beam_center, beam_off, adm_sweeps):
     assert beam_center.failures == []
     assert beam_off.failures == []
     assert all(sweep.failures == [] for sweep in adm_sweeps)
-    thr = CriterionTable().beam_db
+    thr = BEAM_CRITERION_DB
 
     # (a) Per band below 4 kHz, a band usable with NSP is usable with VBAP,
     # and a band usable with VBAP is usable with HOA.

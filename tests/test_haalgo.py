@@ -258,8 +258,7 @@ def _process_with_oracle(algorithm, buf, oracle_noise):
     """The mixture processed with the gains the oracle noise stem gives."""
     stft = algorithm.stft
     spec = stft.analyze(buf.samples)
-    op = algorithm._operation(
-        spec, algorithm._aux(stft.analyze(oracle_noise.samples)))
+    op = algorithm._operation(spec, stft.analyze(oracle_noise.samples))
     return algorithm._synthesize(op, spec, buf.samples.shape[1],
                                  buf.sample_rate)
 

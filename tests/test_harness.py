@@ -10,10 +10,10 @@ from spatsim.cli import main
 from spatsim.haalgo import DesignError
 import spatsim.harness as harness
 import spatsim.localization as localization
-from spatsim.harness import (CriterionTable, ErrorSurface, PleCell,
-                             SweepConfig, SweepResult, aliasing_overlay,
-                             contour_extract, load_surfaces_csv, report,
-                             run_sweep, usable_bandwidth, write_manifest,
+from spatsim.harness import (ErrorSurface, PleCell, SweepConfig, SweepResult,
+                             aliasing_overlay, contour_extract, criterion,
+                             load_surfaces_csv, report, run_sweep,
+                             usable_bandwidth, write_manifest,
                              write_surfaces_csv)
 from spatsim.binsim import (CALIBRATION_CHANNEL, ReceiverBank,
                             VirtualSource, render_source)
@@ -40,6 +40,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("speaker_counts: [8]\nbogus_key: 1\n")
     with pytest.raises(ValueError, match="bogus_key"):
         SweepConfig.from_yaml(path)
+    # Unknown names in the known keys are rejected too, not run silently.
+    for key, name in (("metrics", "specral"), ("algorithms", "beamformr"),
+                      ("methods", "wfs")):
+        path.write_text(f"{key}: [{name}]\n")
+        with pytest.raises(ValueError, match=f"unknown {key}.*{name}"):
+            SweepConfig.from_yaml(path)
 
 
 def test_config_presets(tmp_path):
@@ -69,14 +75,13 @@ def test_config_hash_sensitivity():
 
 
 def test_criterion_table_defaults():
-    t = CriterionTable()
-    assert t.threshold("beam") == 5.7
-    assert t.threshold("snr", "beamformer") == 0.75
-    assert t.threshold("snr", "adm") == 0.42
-    assert t.threshold("snr", "coherence_nr") == 0.42
-    assert t.threshold("snr", "single_nr") == 0.65
+    assert criterion("beam") == 5.7
+    assert criterion("snr", "beamformer") == 0.75
+    assert criterion("snr", "adm") == 0.42
+    assert criterion("snr", "coherence_nr") == 0.42
+    assert criterion("snr", "single_nr") == 0.65
     with pytest.raises(KeyError):
-        t.threshold("ple")
+        criterion("ple")
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +271,21 @@ def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
 
 
 def test_algorithms_run_at_the_sweep_sample_rate():
-    config = SweepConfig.desk_scale(sample_rate=16000)
+    config = SweepConfig.desk_scale(sample_rate=16000, metrics=("beam", "snr"),
+                                    scene_duration=0.5, n_noise_sources=3)
     hrir_set = harness._load_hrirs(config)
     assert hrir_set.sample_rate == 16000
-    names = harness.ALGORITHM_NAMES + ("beamformer_core",)
-    algorithms = harness._make_algorithms(hrir_set, names)
-    assert set(algorithms) == set(names)
-    for algorithm in algorithms.values():
+    sweep = harness._Sweep(config, hrir_set)
+    assert sweep.failures == []
+    assert set(sweep.algorithms) == set(harness.ALGORITHM_NAMES)
+    for algorithm in (*sweep.algorithms.values(), sweep.pattern_algorithm):
         assert algorithm.stft.sample_rate == 16000
 
 
-def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
-                                                    monkeypatch):
-    """A cell's unit renders every metric through one bank; its values
-    equal those of banks built for each metric's own channels."""
+def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
+    """A cell's unit renders every metric through one bank; its raw
+    measurements equal those of banks built for each metric's own
+    channels."""
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
         algorithms=("adm", "single_nr"), metrics=("beam", "snr", "spectral"),
@@ -287,9 +293,8 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
         pattern_probe_duration=0.1)
     pose = config.poses()[0]
     grid = config.band_grid()
-    algorithms = harness._make_algorithms(hrir_set, config.algorithms)
-    core = harness.MvdrCoreBeamformer(mvdr_design)
-    sweep = harness._Sweep(config, hrir_set, algorithms, core, None)
+    sweep = harness._Sweep(config, hrir_set)
+    core = sweep.pattern_algorithm
     ref = sweep.unit(None, None, 0.5)
     built = []
     real_init = harness.ReceiverBank.__init__
@@ -299,35 +304,34 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
         real_init(self, array, hs, ps, channels)
 
     monkeypatch.setattr(harness.ReceiverBank, "__init__", counting_init)
-    values, ple = sweep.errors(ref, sweep.unit("vbap", 6, 0.5))
-    assert ple is None
+    test = sweep.unit("vbap", 6, 0.5)
     assert built == [hrir_set.channels]
     monkeypatch.undo()
+    assert list(test) == harness._surface_keys(config)
+    assert list(ref) == [("beam", None), ("snr", "adm"), ("snr", "single_nr")]
 
     method = harness.ReproductionMethod.VBAP
     array = harness.build_array(6, radius=config.array_radius)
     pattern = harness.beam_pattern(
         core, method, ReceiverBank(array, hrir_set, pose, core.channels),
         grid, probe_duration=config.pattern_probe_duration, seed=config.seed)
-    assert np.array_equal(values["beam"],
-                          harness.beam_error(ref.pattern, pattern))
+    assert np.array_equal(test["beam", None].gains_db, pattern.gains_db)
     ring = harness.build_array(len(harness.PATTERN_AZIMUTHS),
                                radius=hrir_set.distance)
     free_field = harness.beam_pattern(
         core, harness.ReproductionMethod.NSP,
         ReceiverBank(ring, hrir_set, pose, core.channels), grid,
         probe_duration=config.pattern_probe_duration, seed=config.seed)
-    assert np.array_equal(ref.pattern.gains_db, free_field.gains_db)
+    assert np.array_equal(ref["beam", None].gains_db, free_field.gains_db)
     snr_channels = harness._UNION_CHANNELS + (CALIBRATION_CHANNEL,)
     stems = harness.render_scene_stems(
         sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
         hrir_set, pose, harness._UNION_CHANNELS)
-    for name, alg in algorithms.items():
+    for name, alg in sweep.algorithms.items():
         snr_sweep = harness.snr_improvement(
             alg, harness.select_channels(stems, alg.channels), grid,
             input_snrs=config.input_snrs)
-        assert np.array_equal(values[("snr", name)],
-                              harness.snr_error(ref.sweeps[name], snr_sweep),
+        assert np.array_equal(test["snr", name].delta_r, snr_sweep.delta_r,
                               equal_nan=True)
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
     distances = []
@@ -338,7 +342,7 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, mvdr_design,
         buf = render_source(method, ear_bank, src)
         distances.append(harness.spectral_distance(
             ref_buf.samples[0], buf.samples[0], buf.sample_rate))
-    assert values["spectral"] == float(np.mean(distances))
+    assert test["spectral", None] == float(np.mean(distances))
 
 
 def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):
@@ -359,6 +363,49 @@ def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):
         result.surface("snr", "nsp", 0.0, "single_nr").values).any()
     assert np.isnan(result.surface("snr", "nsp", 0.0, "beamformer").values).all()
     assert np.isnan(result.surface("beam", "nsp", 0.0).values).all()
+
+
+def test_surfaces_are_fixed_by_the_config(hrir_set, monkeypatch):
+    """Which surfaces a sweep gives depends on its config alone: when every
+    cell fails, each surface is still there and reads NaN."""
+    _small_ple(monkeypatch)
+
+    def no_array(count, radius):
+        raise RuntimeError("no array")
+
+    monkeypatch.setattr(harness, "build_array", no_array)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(4, 8), pose_offsets=(0.0,), methods=("nsp", "hoa"),
+        algorithms=("adm", "single_nr"), metrics=("snr", "ple", "spectral"),
+        input_snrs=(0.0,), scene_duration=0.5, n_noise_sources=3)
+    result = run_sweep(config, hrir_set=hrir_set, workers=1)
+    assert [cell for cell, _ in result.failures] == [
+        (method, count, 0.0) for method in config.methods
+        for count in config.speaker_counts]
+    keys = harness._surface_keys(config)
+    assert keys == [("snr", "adm"), ("snr", "single_nr"), ("ple", None),
+                    ("spectral", None)]
+    assert len(result.surfaces) == len(keys) * len(config.methods)
+    for method in config.methods:
+        for metric, algorithm in keys:
+            values = result.surface(metric, method, 0.0, algorithm).values
+            assert len(values) == len(config.speaker_counts)
+            assert np.isnan(values).all()
+    assert result.ple_cells == {}
+
+
+def test_sweep_without_a_beamformer_designs_none(hrir_set, monkeypatch):
+    def no_design(hs):
+        raise DesignError("designed for nothing")
+
+    monkeypatch.setattr(harness, "design_mvdr", no_design)
+    _small_ple(monkeypatch)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(8,), pose_offsets=(0.0,), methods=("nsp",),
+        metrics=("ple", "spectral"))
+    result = run_sweep(config, hrir_set=hrir_set, workers=1)
+    assert result.failures == []
+    assert np.isfinite(result.surface("spectral", "nsp", 0.0).values).all()
 
 
 # Two poses x two methods x two counts, every metric, short scenes.
@@ -596,6 +643,10 @@ def test_cli_render(tmp_path):
 
 def test_cli_bad_input_exits_nonzero(tmp_path):
     assert main(["report", str(tmp_path / "missing.csv")]) == 1
+    # A misspelt metric is an error, not a sweep with no surfaces.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("metrics: [specral]\n")
+    assert main(["sweep", "--config", str(bad), "--quiet"]) == 1
     # A config file and a preset are two sources for one configuration.
     with pytest.raises(SystemExit):
         main(["sweep", "--config", str(tmp_path / "grid.yaml"),

@@ -218,7 +218,7 @@ class _Gain(SpectralGainAlgorithm):
         super().__init__()
         self.gain = gain
 
-    def _operation(self, mix_spec, aux):
+    def _operation(self, mix_spec, noise_spec):
         return self.gain
 
     def _apply(self, op, spec):
@@ -274,7 +274,7 @@ def _snr_improvement_per_snr(algorithm, stems, grid, input_snrs):
         t_in = stems.target_only.samples
         n_in = stems.noise_only.samples * noise_scale(stems, snr)
         op = algorithm._operation(stft.analyze(t_in + n_in),
-                                  algorithm._aux(stft.analyze(n_in)))
+                                  stft.analyze(n_in))
         target, noise = (
             stft.synthesize(algorithm._apply(op, stft.analyze(x)), n)
             for x in (t_in, n_in))
