@@ -7,7 +7,7 @@ and summed; their sum equals the rendered mixture samplewise.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -64,15 +64,19 @@ class SceneSpec:
     noises: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class RenderOutput:
-    """Separated stems; mixture == target_only + noise_only samplewise."""
+    """Target and noise stems over the named receiver channels."""
 
-    mixture: AudioBuffer
     target_only: AudioBuffer
     noise_only: AudioBuffer
     channels: tuple
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def mixture(self) -> AudioBuffer:
+        """The target and noise stems summed samplewise."""
+        return AudioBuffer(self.target_only.sample_rate,
+                           self.target_only.samples + self.noise_only.samples)
 
 
 class ReceiverBank:
@@ -159,66 +163,42 @@ def _zero_pad(x: np.ndarray, n: int) -> np.ndarray:
 def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
                        bank: ReceiverBank | None, hrir_set: HrirSet,
                        pose: ListenerPose, channels: tuple) -> RenderOutput:
-    """Uncalibrated stems plus calibration-channel powers in the metadata.
+    """Uncalibrated stems over `channels` plus the calibration channel.
 
     `method=None` renders free field (no bank); otherwise the sources go
-    through `bank`, which must hold `channels` and the calibration channel,
-    and only those are rendered. Rendering is linear, so SNR variants can
-    rescale the noise stem without re-rendering (see noise_scale).
+    through `bank`, which must hold those channels, and only they are
+    rendered. Rendering is linear, so SNR variants can rescale the noise
+    stem without re-rendering (see noise_scale).
     """
     channels = tuple(channels)
-    render_channels = channels
-    if CALIBRATION_CHANNEL not in render_channels:
-        render_channels = channels + (CALIBRATION_CHANNEL,)
+    if CALIBRATION_CHANNEL not in channels:
+        channels += (CALIBRATION_CHANNEL,)
     if method is not None:
-        bank = bank.select(render_channels)
+        bank = bank.select(channels)
 
     t = _render_any(method, bank, scene.target, hrir_set, pose,
-                    render_channels).samples
+                    channels).samples
     # Each noise part is added as soon as it is rendered, so that only one
     # is held at a time; the sum grows to the longest part.
-    n = np.zeros((len(render_channels), 0))
+    n = np.zeros((len(channels), 0))
     for src in scene.noises:
         part = _render_any(method, bank, src, hrir_set, pose,
-                           render_channels).samples
+                           channels).samples
         n = _zero_pad(n, part.shape[1])
         n[:, :part.shape[1]] += part
     n_len = max(t.shape[1], n.shape[1])
-    t = _zero_pad(t, n_len)
-    n = _zero_pad(n, n_len)
-
-    cal = render_channels.index(CALIBRATION_CHANNEL)
-    p_t = float(np.mean(np.square(t[cal])))
-    p_n = float(np.mean(np.square(n[cal])))
-    keep = [render_channels.index(c) for c in channels]
     rate = hrir_set.sample_rate
-    return RenderOutput(
-        mixture=AudioBuffer(rate, t[keep] + n[keep]),
-        target_only=AudioBuffer(rate, t[keep]),
-        noise_only=AudioBuffer(rate, n[keep]),
-        channels=channels,
-        metadata={"target_power": p_t, "noise_power": p_n,
-                  "calibration_channel": CALIBRATION_CHANNEL})
-
-
-def select_channels(stems: RenderOutput, channels: tuple) -> RenderOutput:
-    """Stems restricted to a channel subset (no re-rendering; calibration
-    metadata is preserved since it refers to the calibration channel)."""
-    channels = tuple(channels)
-    idx = [stems.channels.index(c) for c in channels]
-    rate = stems.mixture.sample_rate
-    return RenderOutput(
-        mixture=AudioBuffer(rate, stems.mixture.samples[idx]),
-        target_only=AudioBuffer(rate, stems.target_only.samples[idx]),
-        noise_only=AudioBuffer(rate, stems.noise_only.samples[idx]),
-        channels=channels, metadata=dict(stems.metadata))
+    return RenderOutput(target_only=AudioBuffer(rate, _zero_pad(t, n_len)),
+                        noise_only=AudioBuffer(rate, _zero_pad(n, n_len)),
+                        channels=channels)
 
 
 def noise_scale(stems: RenderOutput, nominal_input_snr: float) -> float:
     """Factor on the noise stem that puts the calibration-channel SNR at the
     nominal value."""
-    p_t = stems.metadata["target_power"]
-    p_n = stems.metadata["noise_power"]
+    cal = stems.channels.index(CALIBRATION_CHANNEL)
+    p_t = float(np.mean(np.square(stems.target_only.samples[cal])))
+    p_n = float(np.mean(np.square(stems.noise_only.samples[cal])))
     if p_t <= 0.0 or p_n <= 0.0:
         raise ValueError("cannot calibrate SNR: zero-power stem")
     return np.sqrt(p_t / p_n) * 10.0 ** (-nominal_input_snr / 20.0)

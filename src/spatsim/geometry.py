@@ -56,10 +56,6 @@ class Position2D:
         """Azimuth in degrees, [0, 360)."""
         return wrap_degrees(math.degrees(math.atan2(self.y, self.x)))
 
-    @property
-    def distance(self) -> float:
-        return self.norm()
-
     def __sub__(self, other: "Position2D") -> "Position2D":
         return Position2D(self.x - other.x, self.y - other.y)
 

@@ -38,14 +38,6 @@ class ShadowOutput:
     noise: AudioBuffer
 
 
-def _check_stems(stems: RenderOutput) -> None:
-    s = stems.mixture.samples
-    d = s - (stems.target_only.samples + stems.noise_only.samples)
-    scale = max(float(np.abs(s).max()), 1e-30)
-    if float(np.abs(d).max()) > 1e-6 * scale:
-        raise ValueError("stems do not sum to the mixture")
-
-
 class SpectralGainAlgorithm:
     """Base for algorithms expressed as a time-variant linear map on STFTs."""
 
@@ -88,11 +80,11 @@ class SpectralGainAlgorithm:
                                 buf.samples.shape[1], buf.sample_rate)
 
     def analyze_stems(self, stems: RenderOutput) -> tuple:
-        """STFTs of the target and noise stems, checked to sum to the
-        mixture."""
-        _check_stems(stems)
-        return (self.stft.analyze(stems.target_only.samples),
-                self.stft.analyze(stems.noise_only.samples))
+        """STFTs of the target and noise stems on this algorithm's channels,
+        picked from the stems' channels by name."""
+        rows = [stems.channels.index(c) for c in self.channels]
+        return (self.stft.analyze(stems.target_only.samples[rows]),
+                self.stft.analyze(stems.noise_only.samples[rows]))
 
     def shadow_stems(self, stems: RenderOutput, spectra: tuple,
                      noise_scale: float = 1.0,
@@ -112,8 +104,8 @@ class SpectralGainAlgorithm:
         specs = (target_spec, noise_spec)
         if with_mixture:
             specs = (mix_spec,) + specs
-        n = stems.mixture.samples.shape[1]
-        rate = stems.mixture.sample_rate
+        n = stems.target_only.samples.shape[1]
+        rate = stems.target_only.sample_rate
         return [self._synthesize(op, spec, n, rate) for spec in specs]
 
     def shadow(self, stems: RenderOutput) -> ShadowOutput:
@@ -270,14 +262,6 @@ class MvdrCoreBeamformer(SpectralGainAlgorithm):
 # Adaptive differential microphone
 
 
-@dataclass
-class AdmState:
-    """Adapted mixing weights per (frame, band), clamped to [0, 1]."""
-
-    beta: np.ndarray
-    band_of_bin: np.ndarray
-
-
 class AdaptiveDifferentialMic(SpectralGainAlgorithm):
     """Front/back cardioids by delay-and-subtract; the back cardioid is
     scaled by an NLMS-adapted weight and subtracted to steer a rear null.
@@ -310,7 +294,8 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
         c_back = rear - front * self.phase[None, :]
         return c_front, c_back
 
-    def _operation(self, mix_spec: np.ndarray, noise_spec) -> AdmState:
+    def _operation(self, mix_spec: np.ndarray, noise_spec) -> np.ndarray:
+        """Adapted mixing weights per (frame, band), clamped to [0, 1]."""
         c_front, c_back = self._cardioids(mix_spec)
         frames = mix_spec.shape[1]
         beta = np.zeros((frames, self.n_bands))
@@ -326,11 +311,11 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
                               minlength=self.n_bands)
             b = np.clip(b + self.step * num / np.maximum(den, 1e-20), 0.0, 1.0)
             beta[t] = b
-        return AdmState(beta=beta, band_of_bin=self.band_of_bin)
+        return beta
 
-    def _apply(self, op: AdmState, spec: np.ndarray) -> np.ndarray:
+    def _apply(self, beta: np.ndarray, spec: np.ndarray) -> np.ndarray:
         c_front, c_back = self._cardioids(spec)
-        bt = op.beta[:, op.band_of_bin]
+        bt = beta[:, self.band_of_bin]
         return ((c_front - bt * c_back) * self.eq[None, :])[None]
 
 

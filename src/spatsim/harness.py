@@ -22,15 +22,13 @@ import numpy as np
 import yaml
 
 from .binsim import (CALIBRATION_CHANNEL, ReceiverBank, VirtualSource,
-                     render_reference, render_scene_stems, render_source,
-                     select_channels)
+                     render_reference, render_scene_stems, render_source)
 from .geometry import ListenerPose, Position2D, build_array
 from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      DesignError, MvdrBeamformer, MvdrCoreBeamformer,
                      SingleChannelNoiseReduction, design_mvdr)
-from .hrir import (CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION,
-                   DEFAULT_HEAD_RADIUS, HrirSet, MicLayout, load_hrir_set,
-                   synth_sphere_hrir)
+from .hrir import (CHANNELS_LOCALIZATION, DEFAULT_HEAD_RADIUS, HrirSet,
+                   MicLayout, load_hrir_set, synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
 from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
                       beam_error, beam_pattern, make_third_octave_grid,
@@ -44,6 +42,9 @@ DESK_SPEAKER_COUNTS = (4, 8, 12, 24)
 POSE_OFFSETS = (0.0, 0.1, 0.5)
 ALGORITHM_NAMES = ("beamformer", "adm", "coherence_nr", "single_nr")
 METRIC_NAMES = ("beam", "snr", "ple", "spectral")
+# The config fields that list the grid's entries.
+_GRID_FIELDS = ("speaker_counts", "pose_offsets", "methods", "algorithms",
+                "metrics", "input_snrs")
 SCHEMA_VERSION = 1
 
 
@@ -68,6 +69,11 @@ class SweepConfig:
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
+        for key in _GRID_FIELDS:
+            values = getattr(self, key)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{key} must list distinct entries, not "
+                                 f"{list(values)}")
         for key, known in (
                 ("metrics", METRIC_NAMES), ("algorithms", ALGORITHM_NAMES),
                 ("methods", [method.value for method in ReproductionMethod])):
@@ -92,8 +98,7 @@ class SweepConfig:
         unknown = set(data) - set(known)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("speaker_counts", "pose_offsets", "methods", "algorithms",
-                    "metrics", "input_snrs"):
+        for key in _GRID_FIELDS:
             if key in known:
                 known[key] = tuple(known[key])
         if preset == "desk":
@@ -211,9 +216,6 @@ def _load_hrirs(config: SweepConfig) -> HrirSet:
     return load_hrir_set(config.hrir_source)
 
 
-_UNION_CHANNELS = CHANNELS_BEAMFORMER        # superset of all algorithm inputs
-
-
 def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
     """Algorithms by name, on an STFT at the HRIR set's sample rate; the
     beamformer uses `design`, or designs its own when none is given."""
@@ -298,7 +300,13 @@ class _Sweep:
                                            map=map)
         self.scene = None
         if "snr" in metrics:
-            used.update(_UNION_CHANNELS + (CALIBRATION_CHANNEL,))
+            # The scene stems hold the algorithms' channels and the
+            # calibration channel, in set order.
+            snr_used = {CALIBRATION_CHANNEL}.union(
+                *(alg.channels for alg in self.algorithms.values()))
+            self.snr_channels = tuple(c for c in hrir_set.channels
+                                      if c in snr_used)
+            used.update(snr_used)
             self.scene = make_default_scene(
                 config.scene_duration, config.sample_rate,
                 n_noise=config.n_noise_sources, seed=config.seed)
@@ -352,11 +360,10 @@ class _Sweep:
                 seed=config.seed)
         if self.scene is not None:
             stems = render_scene_stems(self.scene, method, bank, hrir_set,
-                                       pose, _UNION_CHANNELS)
+                                       pose, self.snr_channels)
             for name, alg in self.algorithms.items():
                 out["snr", name] = snr_improvement(
-                    alg, select_channels(stems, alg.channels), self.grid,
-                    input_snrs=config.input_snrs)
+                    alg, stems, self.grid, input_snrs=config.input_snrs)
         refs = self.ref_renders.get(pose_offset, ())
         if refs and bank is not None:
             bank = bank.select(CHANNELS_LOCALIZATION)

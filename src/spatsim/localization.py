@@ -53,7 +53,6 @@ def gammatone_band(x: np.ndarray, fc: float, sample_rate: int) -> np.ndarray:
 class BandCues:
     """Glimpsed interaural cues of one band."""
 
-    center_frequency: float
     statistic: np.ndarray       # interaural phase statistic per glimpse, rad
     ild_db: np.ndarray          # level difference (L - R) per glimpse
 
@@ -100,7 +99,7 @@ def extract_cues(buffer: AudioBuffer) -> list:
         yr = gammatone_band(right, fc, rate)
         coh, phase, ild = _band_statistics(yl, yr, rate)
         mask = _glimpse_mask(coh)
-        bands.append(BandCues(fc, phase[mask], ild[mask]))
+        bands.append(BandCues(phase[mask], ild[mask]))
     return bands
 
 

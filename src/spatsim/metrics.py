@@ -183,20 +183,22 @@ def snr_improvement(algorithm, stems: RenderOutput, grid: BandGrid,
                     input_snrs: tuple = NOMINAL_INPUT_SNRS) -> SnrSweep:
     """Long-term band SNR improvement via shadow filtering.
 
-    `stems` are uncalibrated scene stems (render_scene_stems); each nominal
-    SNR rescales the noise stem before processing. Every step before the
+    `stems` are uncalibrated scene stems (render_scene_stems) over at least
+    the algorithm's channels, which it picks by name; each nominal SNR
+    rescales the noise stem before processing. Every step before the
     algorithm's operation is linear, so the stems are transformed once and
     only the scale changes with the SNR.
     """
-    ref_idx = list(algorithm.reference_channel_indices)
-    rate = stems.mixture.sample_rate
+    ref_rows = [stems.channels.index(algorithm.channels[i])
+                for i in algorithm.reference_channel_indices]
+    rate = stems.target_only.sample_rate
 
     def band_power(samples):
         return third_octave_analyze(samples, rate, grid).sum(axis=0)
 
     spectra = algorithm.analyze_stems(stems)
-    p_t_in = band_power(stems.target_only.samples[ref_idx])
-    p_n_in = band_power(stems.noise_only.samples[ref_idx])
+    p_t_in = band_power(stems.target_only.samples[ref_rows])
+    p_n_in = band_power(stems.noise_only.samples[ref_rows])
     delta = np.empty((len(input_snrs), len(grid)))
     for i, snr in enumerate(input_snrs):
         scale = noise_scale(stems, snr)

@@ -15,7 +15,7 @@ import pytest
 from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
                             VirtualSource, SceneSpec, noise_scale,
                             render_reference, render_scene_stems,
-                            render_source, select_channels)
+                            render_source)
 from spatsim.geometry import ListenerPose, Position2D, build_array
 from spatsim.haalgo import MvdrCoreBeamformer
 from spatsim.harness import (ALGORITHM_NAMES, BEAM_CRITERION_DB, PleCell,
@@ -103,10 +103,8 @@ def identity_data(hrir_set, mvdr_design, lookup):
                                    hrir_set, CENTER, CHANNELS_BEAMFORMER)
     snr_err = 0.0
     for name, alg in _make_algorithms(hrir_set, ALGORITHM_NAMES).items():
-        ref = snr_improvement(alg, select_channels(stems_ref, alg.channels),
-                              GRID, input_snrs=(0.0,))
-        test = snr_improvement(alg, select_channels(stems_nsp, alg.channels),
-                               GRID, input_snrs=(0.0,))
+        ref = snr_improvement(alg, stems_ref, GRID, input_snrs=(0.0,))
+        test = snr_improvement(alg, stems_nsp, GRID, input_snrs=(0.0,))
         snr_err = max(snr_err, float(np.nanmax(snr_error(ref, test))))
 
     probe = speech_shaped_noise(0.5, RATE, seed=60)
@@ -406,9 +404,8 @@ def test_criterion_6_freefield_benefits(hrir_set, mvdr_design,
     algos["mvdr_core"] = MvdrCoreBeamformer(mvdr_design)
 
     def improvement(name, snr):
-        alg = algos[name]
-        sub = select_channels(freefield_stems, alg.channels)
-        sweep = snr_improvement(alg, sub, GRID, input_snrs=(snr,))
+        sweep = snr_improvement(algos[name], freefield_stems, GRID,
+                                input_snrs=(snr,))
         return sweep.delta_r[0]
 
     mvdr = improvement("mvdr_core", 0.0)
@@ -438,15 +435,13 @@ def test_criterion_7_shadow_additivity(hrir_set):
     stems = render_scene_stems(scene, None, None, hrir_set, CENTER,
                                CHANNELS_BEAMFORMER)
     worst = 0.0
-    # Stems at 0 dB input SNR: the noise stem rescaled, the mixture their sum.
+    # Stems at 0 dB input SNR: the noise stem rescaled.
     noise = stems.noise_only.samples * noise_scale(stems, 0.0)
-    stems = RenderOutput(
-        mixture=AudioBuffer(RATE, stems.target_only.samples + noise),
-        target_only=stems.target_only, noise_only=AudioBuffer(RATE, noise),
-        channels=stems.channels, metadata=stems.metadata)
+    stems = RenderOutput(target_only=stems.target_only,
+                         noise_only=AudioBuffer(RATE, noise),
+                         channels=stems.channels)
     for name, alg in _make_algorithms(hrir_set, ALGORITHM_NAMES).items():
-        sub = select_channels(stems, alg.channels)
-        shadow = alg.shadow(sub)
+        shadow = alg.shadow(stems)
         resid = shadow.mixture.samples - (shadow.target.samples
                                           + shadow.noise.samples)
         scale = max(float(np.abs(shadow.mixture.samples).max()), 1e-30)

@@ -13,7 +13,7 @@ def test_polar_round_trip():
         dist = rng.uniform(0.1, 10.0)
         p = Position2D.from_polar(az, dist)
         assert p.azimuth == pytest.approx(az, abs=1e-9 * 360)
-        assert p.distance == pytest.approx(dist, rel=1e-9)
+        assert p.norm() == pytest.approx(dist, rel=1e-9)
 
 
 def test_position_rejects_non_finite():

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spatsim.binsim import (AudioBuffer, RenderOutput, VirtualSource,
-                            render_reference, render_scene_stems,
-                            select_channels)
+                            render_reference, render_scene_stems)
 from spatsim.geometry import ListenerPose, Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
                             ShadowOutput, SingleChannelNoiseReduction,
                             _channel_spectra, design_mvdr)
 from spatsim.hrir import (CHANNELS, CHANNELS_ADM, CHANNELS_BEAMFORMER,
-                          CHANNELS_BINAURAL_NR, CHANNELS_SINGLE_NR,
-                          interpolate_direction)
+                          CHANNELS_BINAURAL_NR, interpolate_direction)
 from spatsim.metrics import snr_improvement
 from spatsim.signals import make_default_scene, speech_shaped_noise, white_noise
 from spatsim.stft import StftProcessor
@@ -165,7 +163,6 @@ def test_adm_cancels_rear_source(hrir_set):
     rear = _adm_render(hrir_set, 180.0, seed=2)
     n = min(front.samples.shape[1], rear.samples.shape[1])
     stems = RenderOutput(
-        mixture=AudioBuffer(RATE, front.samples[:, :n] + rear.samples[:, :n]),
         target_only=AudioBuffer(RATE, front.samples[:, :n]),
         noise_only=AudioBuffer(RATE, rear.samples[:, :n]),
         channels=CHANNELS_ADM)
@@ -306,15 +303,10 @@ def _additivity(shadow):
 
 
 def test_shadow_additivity_all_algorithms(scene_stems, mvdr_design):
-    algos = [
-        (MvdrBeamformer(mvdr_design), CHANNELS_BEAMFORMER),
-        (AdaptiveDifferentialMic(mic_spacing=0.01), CHANNELS_ADM),
-        (CoherenceNoiseReduction(), CHANNELS_BINAURAL_NR),
-        (SingleChannelNoiseReduction(), CHANNELS_SINGLE_NR),
-    ]
-    for algo, channels in algos:
-        stems = select_channels(scene_stems, channels)
-        shadow = algo.shadow(stems)
+    for algo in (MvdrBeamformer(mvdr_design),
+                 AdaptiveDifferentialMic(mic_spacing=0.01),
+                 CoherenceNoiseReduction(), SingleChannelNoiseReduction()):
+        shadow = algo.shadow(scene_stems)
         assert _additivity(shadow) < 1e-6, algo.name
 
 
@@ -330,16 +322,14 @@ def test_shadow_stems_additivity_at_any_noise_scale(mvdr_design, seed, n,
     rng = np.random.default_rng(seed)
     parts = rng.standard_normal((2, len(CHANNELS_BEAMFORMER), n))
     parts[0, :, :onset] = 0.0
-    stems = RenderOutput(mixture=AudioBuffer(RATE, parts[0] + parts[1]),
-                         target_only=AudioBuffer(RATE, parts[0]),
+    stems = RenderOutput(target_only=AudioBuffer(RATE, parts[0]),
                          noise_only=AudioBuffer(RATE, parts[1]),
                          channels=CHANNELS_BEAMFORMER)
     for algo in (MvdrBeamformer(mvdr_design),
                  AdaptiveDifferentialMic(mic_spacing=0.01),
                  CoherenceNoiseReduction(), SingleChannelNoiseReduction()):
-        sub = select_channels(stems, algo.channels)
         shadow = ShadowOutput(*algo.shadow_stems(
-            sub, algo.analyze_stems(sub), scale, with_mixture=True))
+            stems, algo.analyze_stems(stems), scale, with_mixture=True))
         assert _additivity(shadow) <= 1e-9, algo.name
 
 
@@ -352,44 +342,27 @@ def test_coherence_nr_ignores_round_off_before_the_onset(scene_stems,
     """Free-field stems are exact zeros until the sound arrives (about 390
     samples here); noise at 1e-16 of full scale there should not move the
     SNR improvement, just as it does not later in the signal."""
-    stems = select_channels(scene_stems, CHANNELS_BINAURAL_NR)
-    assert np.all(stems.mixture.samples[:, :380] == 0.0)
+    # Only the algorithm's two rows get the round-off; the calibration
+    # channel, and so the noise scale of each input SNR, stays as it was.
+    rows = [scene_stems.channels.index(c) for c in CHANNELS_BINAURAL_NR]
+    assert np.all(scene_stems.mixture.samples[rows, :380] == 0.0)
     rng = np.random.default_rng(5)
 
     def with_round_off(start):
         parts = []
-        for stem in (stems.target_only, stems.noise_only):
+        for stem in (scene_stems.target_only, scene_stems.noise_only):
             x = stem.samples.copy()
-            x[:, start:start + 400] += (1e-16 * np.abs(x).max()
-                                        * rng.standard_normal((2, 400)))
-            parts.append(x)
-        return RenderOutput(mixture=AudioBuffer(RATE, parts[0] + parts[1]),
-                            target_only=AudioBuffer(RATE, parts[0]),
-                            noise_only=AudioBuffer(RATE, parts[1]),
-                            channels=stems.channels,
-                            metadata=dict(stems.metadata))
+            x[rows, start:start + 400] += (1e-16 * np.abs(x[rows]).max()
+                                           * rng.standard_normal((2, 400)))
+            parts.append(AudioBuffer(RATE, x))
+        return RenderOutput(*parts, channels=scene_stems.channels)
 
     algo = CoherenceNoiseReduction()
-    base = snr_improvement(algo, stems, band_grid).delta_r
+    base = snr_improvement(algo, scene_stems, band_grid).delta_r
     for start in (20000, 0):
         moved = snr_improvement(algo, with_round_off(start),
                                 band_grid).delta_r - base
         assert np.nanmax(np.abs(moved)) < 1e-9, start
-
-
-def test_shadow_rejects_inconsistent_stems(scene_stems):
-    bad = RenderOutput(
-        mixture=AudioBuffer(RATE, scene_stems.mixture.samples * 2.0),
-        target_only=scene_stems.target_only,
-        noise_only=scene_stems.noise_only,
-        channels=scene_stems.channels)
-    with pytest.raises(ValueError):
-        CoherenceNoiseReduction().shadow(
-            RenderOutput(
-                mixture=AudioBuffer(RATE, bad.mixture.samples[:2]),
-                target_only=AudioBuffer(RATE, bad.target_only.samples[:2]),
-                noise_only=AudioBuffer(RATE, bad.noise_only.samples[:2]),
-                channels=scene_stems.channels[:2]))
 
 
 def test_channel_count_checked():

@@ -48,6 +48,20 @@ def test_config_rejects_unknown_keys(tmp_path):
             SweepConfig.from_yaml(path)
 
 
+@pytest.mark.parametrize("key", harness._GRID_FIELDS)
+def test_config_rejects_empty_or_repeated_grid_entries(tmp_path, key):
+    """An empty list would run a sweep that measures nothing and exit 0;
+    a repeated entry would measure the same cells twice."""
+    entry = getattr(SweepConfig(), key)[0]
+    path = tmp_path / "cfg.yaml"
+    for values in ([], [entry, entry]):
+        path.write_text(yaml.safe_dump({key: values}))
+        with pytest.raises(ValueError, match=f"{key} must list distinct"):
+            SweepConfig.from_yaml(path)
+    path.write_text(yaml.safe_dump({key: [entry]}))
+    assert getattr(SweepConfig.from_yaml(path), key) == (entry,)
+
+
 def test_config_presets(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("preset: desk\nseed: 9\n")
@@ -323,14 +337,16 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
         ReceiverBank(ring, hrir_set, pose, core.channels), grid,
         probe_duration=config.pattern_probe_duration, seed=config.seed)
     assert np.array_equal(ref["beam", None].gains_db, free_field.gains_db)
-    snr_channels = harness._UNION_CHANNELS + (CALIBRATION_CHANNEL,)
+    # The stems hold the channels of the ADM and the single-channel NR and
+    # the calibration channel, in set order.
+    snr_channels = (CALIBRATION_CHANNEL, "ha_L_front", "ha_L_rear")
+    assert sweep.snr_channels == snr_channels
     stems = harness.render_scene_stems(
         sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
-        hrir_set, pose, harness._UNION_CHANNELS)
+        hrir_set, pose, snr_channels)
     for name, alg in sweep.algorithms.items():
-        snr_sweep = harness.snr_improvement(
-            alg, harness.select_channels(stems, alg.channels), grid,
-            input_snrs=config.input_snrs)
+        snr_sweep = harness.snr_improvement(alg, stems, grid,
+                                            input_snrs=config.input_snrs)
         assert np.array_equal(test["snr", name].delta_r, snr_sweep.delta_r,
                               equal_nan=True)
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)

@@ -51,11 +51,11 @@ def scene_layout(scene):
     """Serializable source layout (role, azimuth, distance)."""
     rows = [{"role": "target",
              "azimuth": scene.target.position.azimuth,
-             "distance": scene.target.position.distance}]
+             "distance": scene.target.position.norm()}]
     for src in scene.noises:
         rows.append({"role": "noise",
                      "azimuth": src.position.azimuth,
-                     "distance": src.position.distance})
+                     "distance": src.position.norm()})
     return rows
 
 
@@ -63,9 +63,9 @@ def test_default_scene_layout():
     scene = make_default_scene(0.1, RATE, n_noise=5, seed=3)
     assert len(scene.noises) == 5
     assert scene.target.position.azimuth == pytest.approx(0.0)
-    assert scene.target.position.distance == pytest.approx(3.0)
+    assert scene.target.position.norm() == pytest.approx(3.0)
     for src in scene.noises:
-        assert 1.5 <= src.position.distance <= 4.0
+        assert 1.5 <= src.position.norm() <= 4.0
     rows = scene_layout(scene)
     assert rows[0]["role"] == "target"
     assert len(rows) == 6
