@@ -13,10 +13,9 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .dsp import FRACTIONAL_DELAY_TAPS, delay_signal
-from .geometry import ListenerPose, Position2D, SpeakerArray
+from .geometry import Position2D, SpeakerArray
 from .hrir import HrirSet, translate_listener
-from .panner import (SPEED_OF_SOUND, DrivingWeights, ReproductionMethod,
-                     method_weights)
+from .panner import SPEED_OF_SOUND, ReproductionMethod, method_weights
 
 CALIBRATION_CHANNEL = "in_ear_L"
 
@@ -80,18 +79,19 @@ class RenderOutput:
 
 
 class ReceiverBank:
-    """Precomputed speaker-to-listener IRs for one (array, set, pose) triple.
+    """Speaker-to-listener IRs of one array, HRIR set and listener offset.
 
     Immutable once built; shared across renders of all sources in a scene.
     """
 
     def __init__(self, array: SpeakerArray, hrir_set: HrirSet,
-                 pose: ListenerPose, channels: tuple):
+                 listener: Position2D, channels: tuple):
         self.array = array
         self.set = hrir_set
         self.channels = tuple(channels)
         ch_idx = [hrir_set.channel_index(c) for c in self.channels]
-        irs = [translate_listener(hrir_set, pose, s) for s in array.positions]
+        irs = [translate_listener(hrir_set, listener, s)
+               for s in array.positions]
         # (n_speakers, n_selected_channels, ir_len)
         self.irs = np.stack([ir[ch_idx] for ir in irs])
 
@@ -107,12 +107,14 @@ class ReceiverBank:
         sub.irs = self.irs[:, [self.channels.index(c) for c in sub.channels]]
         return sub
 
-    def weighted_ir(self, weights: DrivingWeights) -> np.ndarray:
-        """Effective source-to-receiver IR: speaker sum folded with the
-        shared source gain/delay, shape (n_channels, len)."""
-        w = weights.weights * weights.source_attenuation
-        summed = np.tensordot(w, self.irs, axes=(0, 0))
-        delay = weights.source_delay * self.set.sample_rate
+    def weighted_ir(self, weights: np.ndarray,
+                    source: Position2D) -> np.ndarray:
+        """Effective IR from `source` to the receivers, (n_channels, len):
+        the speaker sum of the driving `weights` at the source's 1/r gain
+        and r/c delay."""
+        dist = source.norm()
+        summed = np.tensordot(weights * (1.0 / dist), self.irs, axes=(0, 0))
+        delay = dist / SPEED_OF_SOUND * self.set.sample_rate
         return delay_signal(summed, delay,
                             out_len=_delayed_len(summed.shape[1], delay))
 
@@ -123,14 +125,14 @@ def render_source(method: ReproductionMethod, bank: ReceiverBank,
     channels: one convolution per channel with the effective IR, the
     speaker sum of the driving weights times the speaker-to-receiver IRs."""
     weights = method_weights(method, bank.array, source.position)
-    eff = bank.weighted_ir(weights)
+    eff = bank.weighted_ir(weights, source.position)
     x = np.asarray(source.signal, dtype=float)
     return AudioBuffer(sample_rate=bank.set.sample_rate,
                        samples=fftconvolve(x[None, :], eff, axes=1))
 
 
 def render_reference(source: VirtualSource, hrir_set: HrirSet,
-                     pose: ListenerPose, channels: tuple) -> AudioBuffer:
+                     listener: Position2D, channels: tuple) -> AudioBuffer:
     """Free-field rendering: the source acts as its own loudspeaker.
 
     Convolves the signal with the listener-translated HRIR of the source
@@ -139,7 +141,7 @@ def render_reference(source: VirtualSource, hrir_set: HrirSet,
     identical to its nearest-speaker rendering.
     """
     ch_idx = [hrir_set.channel_index(c) for c in channels]
-    tir = translate_listener(hrir_set, pose, source.position)[ch_idx]
+    tir = translate_listener(hrir_set, listener, source.position)[ch_idx]
     delay = hrir_set.distance * hrir_set.sample_rate / SPEED_OF_SOUND
     gain = 1.0 / hrir_set.distance
     x = np.asarray(source.signal, dtype=float)
@@ -149,9 +151,9 @@ def render_reference(source: VirtualSource, hrir_set: HrirSet,
     return AudioBuffer(sample_rate=hrir_set.sample_rate, samples=out)
 
 
-def _render_any(method, bank, source, hrir_set, pose, channels):
+def _render_any(method, bank, source, hrir_set, listener, channels):
     if method is None:
-        return render_reference(source, hrir_set, pose, channels)
+        return render_reference(source, hrir_set, listener, channels)
     return render_source(method, bank, source)
 
 
@@ -162,7 +164,7 @@ def _zero_pad(x: np.ndarray, n: int) -> np.ndarray:
 
 def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
                        bank: ReceiverBank | None, hrir_set: HrirSet,
-                       pose: ListenerPose, channels: tuple) -> RenderOutput:
+                       listener: Position2D, channels: tuple) -> RenderOutput:
     """Uncalibrated stems over `channels` plus the calibration channel.
 
     `method=None` renders free field (no bank); otherwise the sources go
@@ -176,13 +178,13 @@ def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
     if method is not None:
         bank = bank.select(channels)
 
-    t = _render_any(method, bank, scene.target, hrir_set, pose,
+    t = _render_any(method, bank, scene.target, hrir_set, listener,
                     channels).samples
     # Each noise part is added as soon as it is rendered, so that only one
     # is held at a time; the sum grows to the longest part.
     n = np.zeros((len(channels), 0))
     for src in scene.noises:
-        part = _render_any(method, bank, src, hrir_set, pose,
+        part = _render_any(method, bank, src, hrir_set, listener,
                            channels).samples
         n = _zero_pad(n, part.shape[1])
         n[:, :part.shape[1]] += part

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .binsim import ReceiverBank, VirtualSource, render_reference, render_source
-from .geometry import ListenerPose, Position2D, build_array
+from .geometry import Position2D, build_array
 from .harness import (SweepConfig, contour_extract, criterion,
                       load_surfaces_csv, report, run_sweep, write_manifest,
                       write_surfaces_csv, _make_algorithms)
@@ -167,8 +167,7 @@ def _cmd_render(args) -> int:
     from scipy.io import wavfile
 
     hrir_set = synth_sphere_hrir(distance=args.distance)
-    pose = (ListenerPose.center() if args.pose == 0.0
-            else ListenerPose.lateral(args.pose))
+    listener = Position2D(0.0, args.pose)
     signal = synthetic_speech(args.duration, hrir_set.sample_rate,
                               seed=args.seed)
     channels = tuple(args.channels)
@@ -179,10 +178,10 @@ def _cmd_render(args) -> int:
     source = VirtualSource(signal, Position2D.from_polar(args.azimuth,
                                                          args.distance))
     if args.method == "reference":
-        buf = render_reference(source, hrir_set, pose, channels)
+        buf = render_reference(source, hrir_set, listener, channels)
     else:
         array = build_array(args.count, radius=args.distance)
-        bank = ReceiverBank(array, hrir_set, pose, channels)
+        bank = ReceiverBank(array, hrir_set, listener, channels)
         buf = render_source(ReproductionMethod(args.method), bank, source)
     if algorithm is not None:
         buf = algorithm.process(buf)

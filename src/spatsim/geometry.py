@@ -95,22 +95,6 @@ def build_array(count: int, radius: float = DEFAULT_ARRAY_RADIUS,
     return SpeakerArray(count=count, radius=radius, start_azimuth=start_azimuth)
 
 
-@dataclass(frozen=True)
-class ListenerPose:
-    """Listener placement: lateral offset from the array center, facing front."""
-
-    offset: Position2D = Position2D(0.0, 0.0)
-
-    @classmethod
-    def center(cls) -> "ListenerPose":
-        return cls()
-
-    @classmethod
-    def lateral(cls, shift: float) -> "ListenerPose":
-        """Shift the listener `shift` meters to the side (+y, i.e. to the left)."""
-        return cls(offset=Position2D(0.0, shift))
-
-
 def nearest_speaker(array: SpeakerArray, source_azimuth: float) -> int:
     """Index of the speaker with the least angular distance to the source.
 

@@ -23,7 +23,7 @@ import yaml
 
 from .binsim import (CALIBRATION_CHANNEL, ReceiverBank, VirtualSource,
                      render_reference, render_scene_stems, render_source)
-from .geometry import ListenerPose, Position2D, build_array
+from .geometry import Position2D, build_array
 from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      DesignError, MvdrBeamformer, MvdrCoreBeamformer,
                      SingleChannelNoiseReduction, design_mvdr)
@@ -81,6 +81,13 @@ class SweepConfig:
             if unknown:
                 raise ValueError(f"unknown {key}: {unknown}; known: "
                                  f"{list(known)}")
+        if not all(isinstance(n, int) for n in self.speaker_counts):
+            raise ValueError(f"speaker_counts must be integers, not "
+                             f"{list(self.speaker_counts)}")
+        # One type per grid number, so that equal grids hash alike.
+        for key in ("pose_offsets", "input_snrs"):
+            object.__setattr__(self, key,
+                               tuple(float(v) for v in getattr(self, key)))
 
     @classmethod
     def desk_scale(cls, **overrides) -> "SweepConfig":
@@ -127,8 +134,8 @@ class SweepConfig:
         return make_third_octave_grid(self.band_min, self.band_max)
 
     def poses(self) -> list:
-        return [ListenerPose.center() if off == 0.0 else ListenerPose.lateral(off)
-                for off in self.pose_offsets]
+        """Listener offsets from the array center, to the side (+y, left)."""
+        return [Position2D(0.0, off) for off in self.pose_offsets]
 
 
 # The published error thresholds of the banded metrics, in dB.
@@ -213,7 +220,11 @@ def _load_hrirs(config: SweepConfig) -> HrirSet:
         return synth_sphere_hrir(sample_rate=config.sample_rate,
                                  head_radius=config.head_radius,
                                  distance=config.array_radius)
-    return load_hrir_set(config.hrir_source)
+    hrir_set = load_hrir_set(config.hrir_source)
+    if hrir_set.sample_rate != config.sample_rate:
+        raise ValueError(f"HRIR set at {hrir_set.sample_rate} Hz, sweep at "
+                         f"{config.sample_rate} Hz: {config.hrir_source}")
+    return hrir_set
 
 
 def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
@@ -317,9 +328,9 @@ class _Sweep:
                                              seed=config.seed + 1)
             self.ref_renders = {
                 offset: [render_reference(self._probe_source(az), hrir_set,
-                                          pose, CHANNELS_LOCALIZATION)
+                                          listener, CHANNELS_LOCALIZATION)
                          for az in PLE_TARGET_AZIMUTHS]
-                for offset, pose in self.poses.items()}
+                for offset, listener in self.poses.items()}
         # The receiver channels the metrics of a cell render, in set order.
         self.channels = tuple(c for c in hrir_set.channels if c in used)
 
@@ -335,14 +346,14 @@ class _Sweep:
         target, and for a cell its mean spectral distance from the
         free-field renders."""
         config, hrir_set = self.config, self.hrir_set
-        pose = self.poses[pose_offset]
+        listener = self.poses[pose_offset]
         method = bank = None
         if method_name is not None:
             method = ReproductionMethod(method_name)
             # One bank for every metric of the cell; each renders only its
             # own channels of it.
             bank = ReceiverBank(build_array(count, radius=config.array_radius),
-                                hrir_set, pose, self.channels)
+                                hrir_set, listener, self.channels)
         out = {}
         if self.pattern_algorithm is not None:
             # Free field: NSP on a ring with a speaker on every probe
@@ -353,14 +364,14 @@ class _Sweep:
                 pattern_bank = ReceiverBank(
                     build_array(len(PATTERN_AZIMUTHS),
                                 radius=hrir_set.distance),
-                    hrir_set, pose, self.pattern_algorithm.channels)
+                    hrir_set, listener, self.pattern_algorithm.channels)
             out["beam", None] = beam_pattern(
                 self.pattern_algorithm, pattern_method, pattern_bank,
                 self.grid, probe_duration=config.pattern_probe_duration,
                 seed=config.seed)
         if self.scene is not None:
             stems = render_scene_stems(self.scene, method, bank, hrir_set,
-                                       pose, self.snr_channels)
+                                       listener, self.snr_channels)
             for name, alg in self.algorithms.items():
                 out["snr", name] = snr_improvement(
                     alg, stems, self.grid, input_snrs=config.input_snrs)

@@ -16,7 +16,7 @@ import yaml
 from scipy.io import wavfile
 
 from .dsp import delay_signal
-from .geometry import ListenerPose, Position2D, wrap_degrees, wrap_degrees_signed
+from .geometry import Position2D, wrap_degrees, wrap_degrees_signed
 from .panner import SPEED_OF_SOUND
 
 CHANNELS = ("in_ear_L", "in_ear_R",
@@ -84,9 +84,11 @@ class HrirSet:
         self.irs = np.asarray(self.irs, dtype=float)
         if self.irs.shape[:2] != (len(self.azimuths), len(self.channels)):
             raise ValueError("IR array shape does not match grid and channels")
+        # grid_step and the interpolation assume n steps of 360/n degrees.
         steps = np.diff(self.azimuths)
-        if len(steps) and not np.allclose(steps, steps[0], atol=1e-6):
-            raise ValueError("azimuth grid is not uniform")
+        if not np.allclose(steps, self.grid_step, atol=1e-6):
+            raise ValueError("azimuth grid does not close the circle in "
+                             "uniform steps of 360/n degrees")
 
     @property
     def ir_length(self) -> int:
@@ -209,7 +211,7 @@ def interpolate_direction(hrir_set: HrirSet, azimuth: float) -> np.ndarray:
 TRANSLATE_HEADROOM = 128
 
 
-def translate_listener(hrir_set: HrirSet, pose: ListenerPose,
+def translate_listener(hrir_set: HrirSet, listener: Position2D,
                        speaker: Position2D) -> np.ndarray:
     """Effective per-channel IR from a speaker to a shifted listener.
 
@@ -217,9 +219,9 @@ def translate_listener(hrir_set: HrirSet, pose: ListenerPose,
     distance correction: gain distance_ref/d and delay (d - distance_ref)/c.
     Output length is ir_length + TRANSLATE_HEADROOM samples.
     """
-    if pose.offset.norm() >= speaker.norm():
+    if listener.norm() >= speaker.norm():
         raise ValueError("listener offset outside the speaker circle")
-    rel = speaker - pose.offset
+    rel = speaker - listener
     d = rel.norm()
     irs = interpolate_direction(hrir_set, rel.azimuth)
     gain = hrir_set.distance / d

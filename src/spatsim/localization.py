@@ -16,7 +16,7 @@ from scipy.signal import lfilter
 
 from .binsim import AudioBuffer, render_reference, VirtualSource
 from .dsp import erb_bandwidth, erb_number, erb_to_hz, one_pole_smooth
-from .geometry import ListenerPose, Position2D
+from .geometry import Position2D
 from .hrir import CHANNELS_LOCALIZATION, HrirSet
 from .signals import speech_shaped_noise
 
@@ -133,7 +133,7 @@ def build_cue_lookup(hrir_set: HrirSet, probe_duration: float = 0.5,
         """Per band, the median statistic of the probe from `az`."""
         src = VirtualSource(probe,
                             Position2D.from_polar(az, hrir_set.distance))
-        rendered = render_reference(src, hrir_set, ListenerPose.center(),
+        rendered = render_reference(src, hrir_set, Position2D(0.0, 0.0),
                                     CHANNELS_LOCALIZATION)
         return [_median_statistic(b) for b in extract_cues(rendered)]
 

@@ -4,7 +4,7 @@ and their error functions against the free-field reference condition."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -121,21 +121,19 @@ def beam_pattern(algorithm, method, bank: ReceiverBank, grid: BandGrid,
     MvdrBeamformer is not)."""
     bank = bank.select(algorithm.channels)
     probe = white_noise(probe_duration, bank.set.sample_rate, seed=seed)
-    weights = [method_weights(method, bank.array,
-                              Position2D.from_polar(az, bank.array.radius))
-               for az in azimuths]
+    probes = [Position2D.from_polar(az, bank.array.radius) for az in azimuths]
+    # (azimuth, speaker)
+    mix = np.array([method_weights(method, bank.array, p) for p in probes])
     ref_idx = list(algorithm.reference_channel_indices)
     spectra = ([], [])      # input and output, (speaker, channel, bin)
     for s in np.eye(bank.array.count):
         # Speaker s alone, at the probes' shared delay and attenuation.
         rendered = AudioBuffer(bank.set.sample_rate, fftconvolve(
-            probe[None, :], bank.weighted_ir(replace(weights[0], weights=s)),
-            axes=1))
+            probe[None, :], bank.weighted_ir(s, probes[0]), axes=1))
         for out, x in zip(spectra, (rendered.samples[ref_idx],
                                     algorithm.process(rendered).samples)):
             span, bounds, n = _band_span(x, rendered.sample_rate, grid)
             out.append(span)
-    mix = np.array([w.weights for w in weights])    # (azimuth, speaker)
     p_in, p_out = [np.array([_band_powers(a, bounds, n).sum(axis=0)
                              for a in np.tensordot(mix, np.stack(s),
                                                    axes=(1, 0))])

@@ -1,15 +1,14 @@
 """Driving weights for the three reproduction methods and the aliasing predictor.
 
 A reproduction method maps a virtual source position to one scalar weight per
-loudspeaker. The weights depend only on the source azimuth; the source
-distance enters through a shared delay (||r||/c) and 1/||r|| attenuation.
+loudspeaker. The weights depend only on the source azimuth; the renderer
+applies the source distance as a shared delay (||r||/c) and 1/||r|| gain.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,41 +24,27 @@ class ReproductionMethod(enum.Enum):
     HOA = "hoa"
 
 
-@dataclass(frozen=True)
-class DrivingWeights:
-    """Per-speaker gains plus the shared source delay and attenuation."""
-
-    weights: np.ndarray
-    source_delay: float
-    source_attenuation: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
-def _source_terms(source: Position2D) -> tuple:
-    dist = source.norm()
-    if dist <= 0.0:
+def _check_direction(source: Position2D) -> None:
+    if source.norm() <= 0.0:
         raise ValueError("source at the origin has no defined direction")
-    return dist / SPEED_OF_SOUND, 1.0 / dist
 
 
-def nsp_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
+def nsp_weights(array: SpeakerArray, source: Position2D) -> np.ndarray:
     """One-hot weights on the speaker nearest to the source azimuth."""
-    delay, atten = _source_terms(source)
+    _check_direction(source)
     w = np.zeros(array.count)
     w[nearest_speaker(array, source.azimuth)] = 1.0
-    return DrivingWeights(w, delay, atten)
+    return w
 
 
-def vbap_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
+def vbap_weights(array: SpeakerArray, source: Position2D) -> np.ndarray:
     """Amplitude panning over the bracketing speaker pair.
 
     Solves [w_l w_m] S = r_hat for the unit source vector r_hat and the 2x2
     matrix S of bracketing speaker unit vectors. The raw solution, not
     rescaled to unit power, reconstructs the source unit vector exactly.
     """
-    delay, atten = _source_terms(source)
+    _check_direction(source)
     l, m = speaker_pair(array, source.azimuth)
     s = np.array([[math.cos(math.radians(array.azimuth_of(k))),
                    math.sin(math.radians(array.azimuth_of(k)))]
@@ -70,7 +55,7 @@ def vbap_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
     pair = np.linalg.solve(s.T, r_hat)
     w = np.zeros(array.count)
     w[l], w[m] = pair
-    return DrivingWeights(w, delay, atten)
+    return w
 
 
 def hoa_kernel(phi: np.ndarray, count: int) -> np.ndarray:
@@ -90,16 +75,16 @@ def hoa_kernel(phi: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def hoa_weights(array: SpeakerArray, source: Position2D) -> DrivingWeights:
+def hoa_weights(array: SpeakerArray, source: Position2D) -> np.ndarray:
     """Basic-decoding ambisonics weights at the largest even-N integer order.
 
     Combined encode/decode for a regular circular array: each speaker gets the
     Dirichlet kernel evaluated at its angular offset from the source.
     """
-    delay, atten = _source_terms(source)
+    _check_direction(source)
     phi = np.radians([wrap_degrees_signed(source.azimuth - array.azimuth_of(k))
                       for k in range(array.count)])
-    return DrivingWeights(hoa_kernel(phi, array.count), delay, atten)
+    return hoa_kernel(phi, array.count)
 
 
 _WEIGHT_FUNCS = {
@@ -110,8 +95,9 @@ _WEIGHT_FUNCS = {
 
 
 def method_weights(method: ReproductionMethod, array: SpeakerArray,
-                   source: Position2D) -> DrivingWeights:
-    """Driving weights for `source` under the given reproduction method."""
+                   source: Position2D) -> np.ndarray:
+    """Driving weights for `source` under the given reproduction method,
+    one per speaker."""
     return _WEIGHT_FUNCS[method](array, source)
 
 

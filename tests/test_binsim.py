@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -12,13 +11,13 @@ from spatsim.binsim import (AudioBuffer, ReceiverBank, SceneSpec,
                             render_reference, render_scene_stems,
                             render_source)
 from spatsim.dsp import delay_signal
-from spatsim.geometry import ListenerPose, Position2D, build_array
+from spatsim.geometry import Position2D, build_array
 from spatsim.hrir import CHANNELS, CHANNELS_LOCALIZATION
-from spatsim.panner import ReproductionMethod, method_weights
+from spatsim.panner import SPEED_OF_SOUND, ReproductionMethod, method_weights
 from spatsim.signals import speech_shaped_noise, white_noise
 
 RATE = 48000
-CENTER = ListenerPose.center()
+CENTER = Position2D(0.0, 0.0)
 
 
 # The loudspeaker path that render_source folds into one effective IR per
@@ -28,16 +27,17 @@ CENTER = ListenerPose.center()
 
 def render_speaker_feeds(method, array, source, sample_rate):
     """Loudspeaker driving signals for one source: w_k/||r|| at the source
-    delay."""
+    delay ||r||/c."""
     weights = method_weights(method, array, source.position)
-    delay = weights.source_delay * sample_rate
+    dist = source.position.norm()
+    delay = dist / SPEED_OF_SOUND * sample_rate
     x = np.asarray(source.signal, dtype=float)
     out_len = _delayed_len(len(x), delay)
     feeds = np.zeros((array.count, out_len))
     delayed = delay_signal(x, delay, out_len=out_len)
-    for k, w in enumerate(weights.weights):
+    for k, w in enumerate(weights):
         if w != 0.0:
-            feeds[k] = (w * weights.source_attenuation) * delayed
+            feeds[k] = (w * (1.0 / dist)) * delayed
     return AudioBuffer(sample_rate=sample_rate, samples=feeds)
 
 
@@ -105,6 +105,31 @@ def test_hoa_feed_sum_is_delayed_impulse():
     assert np.abs(total - expected).max() < 1e-9
 
 
+@pytest.mark.parametrize("distance, delay_s", [(3.0, 8.746e-3),
+                                               (5.0, 14.577e-3)])
+def test_weighted_ir_applies_the_source_delay_and_gain(hrir_set, distance,
+                                                        delay_s):
+    # The driving weights do not depend on the source distance; the
+    # effective IR delays their speaker sum by distance/c and scales it by
+    # 1/distance.
+    bank = ReceiverBank(build_array(4, 3.0), hrir_set, CENTER, ("in_ear_L",))
+    source = Position2D.from_polar(90.0, distance)
+    weights = method_weights(ReproductionMethod.NSP, bank.array, source)
+    ir = bank.weighted_ir(weights, source)
+    speaker = bank.irs[1]
+    expected = delay_signal(speaker / distance, distance / 343.0 * RATE,
+                            out_len=ir.shape[1])
+    assert np.abs(ir - expected).max() <= 1e-12 * np.abs(expected).max()
+    # First moments add under convolution: the IR's centroid moves by the
+    # delay, and its sum shrinks by the gain.
+    n = np.arange(ir.shape[1])
+    shift = (n @ ir[0] / ir[0].sum()
+             - n[:speaker.shape[1]] @ speaker[0] / speaker[0].sum())
+    assert shift / RATE == pytest.approx(delay_s, abs=1e-6)
+    assert ir[0].sum() / speaker[0].sum() == pytest.approx(1.0 / distance,
+                                                           rel=1e-5)
+
+
 def test_silent_feeds_silent_output(hrir_set):
     arr = build_array(4, 3.0)
     bank = ReceiverBank(arr, hrir_set, CENTER, CHANNELS_LOCALIZATION)
@@ -167,7 +192,7 @@ def test_reference_distance_gain(hrir_set):
 
 def test_rendering_linearity(hrir_set):
     arr = build_array(8, 3.0)
-    bank = ReceiverBank(arr, hrir_set, ListenerPose.lateral(0.1),
+    bank = ReceiverBank(arr, hrir_set, Position2D(0.0, 0.1),
                         CHANNELS_LOCALIZATION)
     x = white_noise(0.1, RATE, seed=5)
     y = white_noise(0.1, RATE, seed=6)
@@ -207,7 +232,7 @@ def test_mix_scene_additivity_and_calibration(hrir_set):
 
 def test_scene_stems_sum_the_source_renders(hrir_set):
     scene = _tiny_scene(n_noise=3)
-    pose = ListenerPose.lateral(0.1)
+    pose = Position2D(0.0, 0.1)
     bank = ReceiverBank(build_array(8, 3.0), hrir_set, pose, CHANNELS)
     stems = render_scene_stems(scene, ReproductionMethod.VBAP, bank,
                                hrir_set, pose, ("in_ear_R",))
@@ -261,7 +286,7 @@ def test_time_invariance(hrir_set):
 
 def test_bank_select_equals_bank_for_the_channels(hrir_set):
     arr = build_array(6, 3.0)
-    pose = ListenerPose.lateral(0.5)
+    pose = Position2D(0.0, 0.5)
     full = ReceiverBank(arr, hrir_set, pose, CHANNELS)
     channels = ("ha_R_rear", "in_ear_L", "ha_L_front")
     own = ReceiverBank(arr, hrir_set, pose, channels)
@@ -281,7 +306,7 @@ def test_bank_select_equals_bank_for_the_channels(hrir_set):
 @pytest.fixture(scope="module")
 def lateral_bank(hrir_set):
     return ReceiverBank(build_array(8, 3.0), hrir_set,
-                        ListenerPose.lateral(0.1), CHANNELS_LOCALIZATION)
+                        Position2D(0.0, 0.1), CHANNELS_LOCALIZATION)
 
 
 @settings(max_examples=25, deadline=None,
@@ -313,7 +338,7 @@ def lateral_banks(hrir_set):
     @functools.cache
     def bank(count):
         return ReceiverBank(build_array(count, 3.0), hrir_set,
-                            ListenerPose.lateral(0.1), CHANNELS_LOCALIZATION)
+                            Position2D(0.0, 0.1), CHANNELS_LOCALIZATION)
     return bank
 
 
@@ -334,11 +359,9 @@ def test_render_source_is_the_weighted_sum_of_speaker_renders(
     pos = Position2D.from_polar(azimuth, distance)
     weights = method_weights(method, bank.array, pos)
     speakers = [
-        fftconvolve(x[None, :], bank.weighted_ir(
-            dataclasses.replace(weights, weights=one_hot)), axes=1)
+        fftconvolve(x[None, :], bank.weighted_ir(one_hot, pos), axes=1)
         for one_hot in np.eye(count)]
     rendered = render_source(method, bank, VirtualSource(x, pos)).samples
-    expected = sum(w * r for w, r in zip(weights.weights, speakers))
-    scale = sum(abs(w) * np.abs(r).max()
-                for w, r in zip(weights.weights, speakers))
+    expected = sum(w * r for w, r in zip(weights, speakers))
+    scale = sum(abs(w) * np.abs(r).max() for w, r in zip(weights, speakers))
     assert np.abs(rendered - expected).max() <= 1e-12 * scale

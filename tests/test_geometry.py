@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spatsim.geometry import (LayoutError, ListenerPose, Position2D,
+from spatsim.geometry import (LayoutError, Position2D,
                               angular_distance, build_array, nearest_speaker,
                               speaker_pair, wrap_degrees, wrap_degrees_signed)
 
@@ -88,9 +88,3 @@ def test_pair_arcs_tile_the_circle():
         rel = wrap_degrees(az - arr.azimuth_of(l))
         assert 0.0 <= rel < arr.spacing
         assert m == (l + 1) % arr.count
-
-
-def test_listener_pose_constructors():
-    assert ListenerPose.center().offset.norm() == 0.0
-    pose = ListenerPose.lateral(0.5)
-    assert pose.offset.norm() == pytest.approx(0.5)

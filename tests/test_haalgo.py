@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from spatsim.binsim import (AudioBuffer, RenderOutput, VirtualSource,
                             render_reference, render_scene_stems)
-from spatsim.geometry import ListenerPose, Position2D
+from spatsim.geometry import Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
                             ShadowOutput, SingleChannelNoiseReduction,
@@ -16,7 +16,7 @@ from spatsim.signals import make_default_scene, speech_shaped_noise, white_noise
 from spatsim.stft import StftProcessor
 
 RATE = 48000
-CENTER = ListenerPose.center()
+CENTER = Position2D(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from spatsim.harness import (ErrorSurface, PleCell, SweepConfig, SweepResult,
 from spatsim.binsim import (CALIBRATION_CHANNEL, ReceiverBank,
                             VirtualSource, render_source)
 from spatsim.geometry import Position2D
-from spatsim.hrir import CHANNELS_LOCALIZATION, HrirSet
+from spatsim.hrir import (CHANNELS_LOCALIZATION, HrirSet, save_hrir_set,
+                          synth_sphere_hrir)
 from spatsim.metrics import make_third_octave_grid
 
 
@@ -60,6 +61,49 @@ def test_config_rejects_empty_or_repeated_grid_entries(tmp_path, key):
             SweepConfig.from_yaml(path)
     path.write_text(yaml.safe_dump({key: [entry]}))
     assert getattr(SweepConfig.from_yaml(path), key) == (entry,)
+
+
+def test_config_stores_grid_numbers_as_floats(tmp_path):
+    """A grid written with integer offsets and SNRs is the float grid of
+    the presets, and hashes alike."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({
+        "preset": "desk", "scene_duration": 8.0, "pose_offsets": [0, 0.1, 0.5],
+        "input_snrs": list(range(-20, 21, 5))}))
+    config = SweepConfig.from_yaml(path)
+    assert all(type(v) is float
+               for v in config.pose_offsets + config.input_snrs)
+    preset = SweepConfig.desk_scale(scene_duration=8.0)
+    assert config.to_yaml() == preset.to_yaml()
+    assert config.config_hash() == preset.config_hash()
+
+
+def test_config_rejects_non_integer_speaker_counts(tmp_path):
+    """Every cell of a 4.0-speaker grid would fail, and its CSV could not
+    be read back."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text("speaker_counts: [4.0]\n")
+    with pytest.raises(ValueError, match="speaker_counts must be integers"):
+        SweepConfig.from_yaml(path)
+
+
+def test_config_poses_are_lateral_offsets():
+    assert SweepConfig(pose_offsets=(0.0, 0.5)).poses() == [
+        Position2D(0.0, 0.0), Position2D(0.0, 0.5)]
+
+
+def test_saved_hrir_set_at_another_rate_rejected(tmp_path):
+    """A 16 kHz set would be rendered as a 16 kHz buffer under signals
+    generated at the sweep's 48 kHz."""
+    save_hrir_set(synth_sphere_hrir(azimuth_grid=np.arange(0.0, 360.0, 90.0),
+                                    sample_rate=16000, ir_length=256),
+                  tmp_path / "set")
+    config = SweepConfig.desk_scale(hrir_source=str(tmp_path / "set"))
+    with pytest.raises(ValueError, match="16000 Hz, sweep at 48000 Hz"):
+        run_sweep(config, workers=1)
+    config = SweepConfig.desk_scale(hrir_source=str(tmp_path / "set"),
+                                    sample_rate=16000)
+    assert harness._load_hrirs(config).sample_rate == 16000
 
 
 def test_config_presets(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spatsim.geometry import ListenerPose, Position2D
+from spatsim.geometry import Position2D
 from spatsim.hrir import (CHANNELS, HrirLoadError, HrirSet,
                           _estimate_delay, interpolate_direction,
                           load_hrir_set, save_hrir_set, synth_sphere_hrir,
@@ -53,6 +53,27 @@ def test_head_radius_validated():
         synth_sphere_hrir(head_radius=0.3)
 
 
+@pytest.mark.parametrize("step, stop, closes", [
+    (5.0, 180.0, False),        # a half circle
+    (7.0, 360.0, False),        # 52 directions, 3 degrees from 357 to 0
+    (5.0, 360.0, True),
+    (45.0, 360.0, True),
+], ids=["half-circle", "step-7", "step-5", "step-45"])
+def test_azimuth_grid_must_close_the_circle(tmp_path, step, stop, closes):
+    azimuths = np.arange(0.0, stop, step)
+    irs = np.zeros((len(azimuths), len(CHANNELS), 16))
+    if not closes:
+        with pytest.raises(ValueError, match="close the circle"):
+            HrirSet(sample_rate=48000, distance=3.0, azimuths=azimuths,
+                    irs=irs)
+        return
+    save_hrir_set(HrirSet(sample_rate=48000, distance=3.0, azimuths=azimuths,
+                          irs=irs), tmp_path / "set")
+    loaded = load_hrir_set(tmp_path / "set")
+    assert loaded.grid_step == step
+    assert np.array_equal(loaded.azimuths, azimuths)
+
+
 def test_interpolation_exact_on_grid(hrir_set):
     for az in (0.0, 35.0, 355.0):
         idx = hrir_set.grid_index(az)
@@ -99,7 +120,7 @@ def test_interpolation_energy_bounded(hrir_set):
 
 def test_translate_identity_at_origin(hrir_set):
     speaker = Position2D.from_polar(40.0, 3.0)
-    out = translate_listener(hrir_set, ListenerPose.center(), speaker)
+    out = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker)
     direct = interpolate_direction(hrir_set, 40.0)
     n = direct.shape[1]
     assert np.abs(out[:, :n] - direct).max() < 1e-9
@@ -108,10 +129,10 @@ def test_translate_identity_at_origin(hrir_set):
 
 def test_translate_toward_speaker(hrir_set):
     # 0.5 m toward a frontal speaker at 3 m: distance 2.5 m, gain 3/2.5.
-    pose = ListenerPose(offset=Position2D(0.5, 0.0))
+    pose = Position2D(0.5, 0.0)
     speaker = Position2D.from_polar(0.0, 3.0)
     out = translate_listener(hrir_set, pose, speaker)
-    ref = translate_listener(hrir_set, ListenerPose.center(), speaker)
+    ref = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker)
     gain = np.sqrt(np.sum(out[0] ** 2) / np.sum(ref[0] ** 2))
     assert gain == pytest.approx(3.0 / 2.5, rel=1e-3)
     freqs = np.fft.rfftfreq(out.shape[1], 1.0 / hrir_set.sample_rate)
@@ -121,17 +142,17 @@ def test_translate_toward_speaker(hrir_set):
 
 
 def test_translate_lateral_distance(hrir_set):
-    pose = ListenerPose.lateral(0.1)
+    pose = Position2D(0.0, 0.1)
     speaker = Position2D.from_polar(90.0, 3.0)
     out = translate_listener(hrir_set, pose, speaker)
-    ref = translate_listener(hrir_set, ListenerPose.center(), speaker)
+    ref = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker)
     gain = np.sqrt(np.sum(out[0] ** 2) / np.sum(ref[0] ** 2))
     assert gain == pytest.approx(3.0 / 2.9, rel=1e-3)
 
 
 def test_translate_rejects_outside_array(hrir_set):
     with pytest.raises(ValueError):
-        translate_listener(hrir_set, ListenerPose.lateral(3.5),
+        translate_listener(hrir_set, Position2D(0.0, 3.5),
                            Position2D.from_polar(0.0, 3.0))
 
 

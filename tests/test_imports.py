@@ -1,4 +1,6 @@
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +31,17 @@ def test_no_unused_imports():
     unused = {str(path.relative_to(ROOT)): _unused_imports(path)
               for path in MODULES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute path) the benchmark's tracer patches exists,
+    so a rename cannot silently drop a layer from a traced run."""
+    traced = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["TRACED"]
+    missing = []
+    for span, (module, path) in traced.items():
+        owner = importlib.import_module(module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(span)
+    assert missing == []

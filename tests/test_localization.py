@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spatsim.binsim import AudioBuffer, VirtualSource, render_reference
-from spatsim.geometry import ListenerPose, Position2D
+from spatsim.geometry import Position2D
 from spatsim.hrir import CHANNELS_LOCALIZATION
 import spatsim.harness as harness
 from spatsim.harness import PleCell
@@ -13,7 +13,7 @@ from spatsim.localization import (build_cue_lookup, extract_cues,
 from spatsim.signals import speech_shaped_noise, white_noise
 
 RATE = 48000
-CENTER = ListenerPose.center()
+CENTER = Position2D(0.0, 0.0)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import spatsim.metrics as metrics
 from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
 from spatsim.binsim import (ReceiverBank, SceneSpec, VirtualSource,
                             noise_scale, render_scene_stems)
-from spatsim.geometry import ListenerPose, Position2D, build_array
+from spatsim.geometry import Position2D, build_array
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
                             SingleChannelNoiseReduction,
@@ -23,7 +23,7 @@ from spatsim.signals import (make_default_scene, speech_shaped_noise,
 from conftest import beam_pattern_per_azimuth
 
 RATE = 48000
-CENTER = ListenerPose.center()
+CENTER = Position2D(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_beam_pattern_equals_the_per_azimuth_renders(hrir_set, mvdr_design,
     # pattern of rendering and processing every azimuth, for every method.
     # Free field is NSP on a speaker at every probe azimuth, against the
     # oracle's free-field renders.
-    pose = ListenerPose.lateral(shift)
+    pose = Position2D(0.0, shift)
     grid = make_third_octave_grid(100.0, 8000.0)
     core = MvdrCoreBeamformer(mvdr_design)
     banks = [ReceiverBank(build_array(count, 3.0), hrir_set, pose,
