@@ -29,15 +29,6 @@ class DesignError(RuntimeError):
     """Raised when an algorithm design step is numerically unusable."""
 
 
-@dataclass
-class ShadowOutput:
-    """Stems processed with parameters derived from the mixture only."""
-
-    mixture: AudioBuffer
-    target: AudioBuffer
-    noise: AudioBuffer
-
-
 class SpectralGainAlgorithm:
     """Base for algorithms expressed as a time-variant linear map on STFTs."""
 
@@ -108,11 +99,11 @@ class SpectralGainAlgorithm:
         rate = stems.target_only.sample_rate
         return [self._synthesize(op, spec, n, rate) for spec in specs]
 
-    def shadow(self, stems: RenderOutput) -> ShadowOutput:
-        """The mixture, target and noise stems, each processed with the
-        operation derived from the mixture."""
-        return ShadowOutput(*self.shadow_stems(
-            stems, self.analyze_stems(stems), with_mixture=True))
+    def shadow(self, stems: RenderOutput) -> list:
+        """The processed [mixture, target, noise], each with the operation
+        derived from the mixture."""
+        return self.shadow_stems(stems, self.analyze_stems(stems),
+                                 with_mixture=True)
 
 
 # ---------------------------------------------------------------------------

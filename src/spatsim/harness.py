@@ -15,7 +15,7 @@ import os
 import traceback
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,13 +81,20 @@ class SweepConfig:
             if unknown:
                 raise ValueError(f"unknown {key}: {unknown}; known: "
                                  f"{list(known)}")
-        if not all(isinstance(n, int) for n in self.speaker_counts):
+        if not all(type(n) is int for n in self.speaker_counts):
             raise ValueError(f"speaker_counts must be integers, not "
                              f"{list(self.speaker_counts)}")
-        # One type per grid number, so that equal grids hash alike.
+        # One type per number, so that equal configs hash alike: the grid's
+        # offsets and SNRs are floats, a scalar has its declared type.
         for key in ("pose_offsets", "input_snrs"):
             object.__setattr__(self, key,
                                tuple(float(v) for v in getattr(self, key)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(value))
+            elif f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
 
     @classmethod
     def desk_scale(cls, **overrides) -> "SweepConfig":
@@ -182,12 +189,6 @@ class PleCell:
 
     errors: np.ndarray
 
-    @classmethod
-    def from_estimates(cls, test, reference) -> "PleCell":
-        """From per-direction azimuth estimates, None where there is none."""
-        return cls(np.array([np.nan if t is None or r is None else t - r
-                             for t, r in zip(test, reference)]))
-
     @property
     def dropped(self) -> int:
         return int(np.sum(~np.isfinite(self.errors)))
@@ -263,7 +264,7 @@ def _surface_keys(config: SweepConfig) -> list:
 _ERRORS = {
     "beam": beam_error,
     "snr": snr_error,
-    "ple": lambda ref, test: PleCell.from_estimates(test, ref),
+    "ple": lambda ref, test: PleCell(test - ref),
     "spectral": lambda ref, test: test,
 }
 
@@ -341,10 +342,10 @@ class _Sweep:
     def unit(self, method_name: str | None, count: int | None,
              pose_offset: float) -> dict:
         """The raw measurements of one cell, or with `method_name=None` of
-        the free-field reference at the pose, by (metric, algorithm): the
-        beam pattern, an SNR sweep per algorithm, the fine azimuth per PLE
-        target, and for a cell its mean spectral distance from the
-        free-field renders."""
+        the free-field reference at the pose, by (metric, algorithm), in
+        plain numpy values: the beam pattern, the SNR improvement per
+        algorithm, the fine azimuth per PLE target (NaN for none), and for
+        a cell its mean spectral distance from the free-field renders."""
         config, hrir_set = self.config, self.hrir_set
         listener = self.poses[pose_offset]
         method = bank = None
@@ -391,7 +392,7 @@ class _Sweep:
                 distances.append(spectral_distance(
                     ref.samples[0], buf.samples[0], buf.sample_rate))
         if ple:
-            out["ple", None] = azimuths
+            out["ple", None] = np.array(azimuths, dtype=float)
         if spectral:
             out["spectral", None] = float(np.mean(distances))
         return out
@@ -584,14 +585,16 @@ def contour_extract(surface: ErrorSurface, threshold: float) -> list:
 
 def usable_bandwidth(surface: ErrorSurface, threshold: float) -> dict:
     """Largest frequency up to which all lower bands meet the criterion,
-    per speaker count; 0.0 when even the lowest band fails."""
+    per speaker count; 0.0 when even the lowest band fails, NaN for a row
+    with no finite value (a cell that was not measured)."""
     out = {}
     freqs = surface.band_centers
     for i, count in enumerate(surface.speaker_counts):
         row = surface.values[i]
         ok = (row <= threshold) & np.isfinite(row)
         j = int(np.argmin(ok)) if not ok.all() else len(ok)
-        out[count] = float(freqs[j - 1]) if j > 0 else 0.0
+        out[count] = (math.nan if not np.isfinite(row).any()
+                      else float(freqs[j - 1]) if j > 0 else 0.0)
     return out
 
 
@@ -695,8 +698,9 @@ def report(result: SweepResult) -> str:
         lines.append(f"{name} {surf.method} pose={surf.pose_offset:g} m "
                      f"(criterion {thr:g} dB)")
         for count, f in bw.items():
-            label = f"{f:.0f} Hz" if f > 0 else "none"
-            lines.append(f"  N={count:3d}: usable to {label}")
+            label = ("not measured" if math.isnan(f) else
+                     f"usable to {f:.0f} Hz" if f > 0 else "usable to none")
+            lines.append(f"  N={count:3d}: {label}")
     scalar = [s for s in result.surfaces if s.band_centers is None]
     if scalar:
         lines.append("")

@@ -96,21 +96,12 @@ def third_octave_analyze(samples: np.ndarray, sample_rate: int,
 # Beam pattern and beam error
 
 
-@dataclass
-class BeamPattern:
-    """Gain in dB over (azimuth, band), floored at the pattern floor."""
-
-    azimuths: np.ndarray
-    grid: BandGrid
-    gains_db: np.ndarray        # (n_azimuths, n_bands)
-
-
 def beam_pattern(algorithm, method, bank: ReceiverBank, grid: BandGrid,
                  probe_duration: float = 1.0, seed: int = 0,
-                 azimuths: np.ndarray = PATTERN_AZIMUTHS) -> BeamPattern:
-    """Band gains versus probe azimuth through the reproduction and
-    processing chain, for probes on the circle of the bank's array. The
-    free-field pattern is the NSP pattern of a ring with one speaker on
+                 azimuths: np.ndarray = PATTERN_AZIMUTHS) -> np.ndarray:
+    """Band gains in dB over (azimuth, band) through the reproduction and
+    processing chain, floored, for probes on the circle of the bank's array.
+    The free-field pattern is the NSP pattern of a ring with one speaker on
     every probe azimuth: a probe on a speaker is its own NSP rendering.
 
     The probe goes through the algorithm's channels of `bank` once per
@@ -141,31 +132,19 @@ def beam_pattern(algorithm, method, bank: ReceiverBank, grid: BandGrid,
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = 10.0 * np.log10(p_out / p_in)
     gains[~np.isfinite(gains)] = BEAM_PATTERN_FLOOR_DB
-    return BeamPattern(azimuths=np.asarray(azimuths, dtype=float), grid=grid,
-                       gains_db=np.maximum(gains, BEAM_PATTERN_FLOOR_DB))
+    return np.maximum(gains, BEAM_PATTERN_FLOOR_DB)
 
 
-def beam_error(ref: BeamPattern, test: BeamPattern) -> np.ndarray:
-    """Per-band root-sum-of-squares of the gain deviations across
-    azimuths, the form the published 5.7 dB criterion refers to."""
-    if (ref.gains_db.shape != test.gains_db.shape
-            or not np.array_equal(ref.azimuths, test.azimuths)):
+def beam_error(ref: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """Per-band root-sum-of-squares of the gain deviations of two (azimuth,
+    band) patterns across azimuths, the form of the 5.7 dB criterion."""
+    if ref.shape != test.shape:
         raise ValueError("beam patterns are on different grids")
-    dg2 = (ref.gains_db - test.gains_db) ** 2
-    return np.sqrt(dg2.sum(axis=0))
+    return np.sqrt(((ref - test) ** 2).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
 # SNR improvement and SNR error
-
-
-@dataclass
-class SnrSweep:
-    """Band SNR improvement per nominal broad-band input SNR."""
-
-    input_snrs: tuple
-    grid: BandGrid
-    delta_r: np.ndarray         # (n_snrs, n_bands), nan for excluded bands
 
 
 def _band_snr_db(p_t: np.ndarray, p_n: np.ndarray) -> np.ndarray:
@@ -178,8 +157,9 @@ def _band_snr_db(p_t: np.ndarray, p_n: np.ndarray) -> np.ndarray:
 
 
 def snr_improvement(algorithm, stems: RenderOutput, grid: BandGrid,
-                    input_snrs: tuple = NOMINAL_INPUT_SNRS) -> SnrSweep:
-    """Long-term band SNR improvement via shadow filtering.
+                    input_snrs: tuple = NOMINAL_INPUT_SNRS) -> np.ndarray:
+    """Long-term band SNR improvement over (input SNR, band) via shadow
+    filtering, NaN in bands where a stem has no power.
 
     `stems` are uncalibrated scene stems (render_scene_stems) over at least
     the algorithm's channels, which it picks by name; each nominal SNR
@@ -205,15 +185,15 @@ def snr_improvement(algorithm, stems: RenderOutput, grid: BandGrid,
         r_out = _band_snr_db(band_power(target.samples),
                              band_power(noise.samples))
         delta[i] = r_out - r_in
-    return SnrSweep(input_snrs=tuple(input_snrs), grid=grid, delta_r=delta)
+    return delta
 
 
-def snr_error(ref: SnrSweep, test: SnrSweep) -> np.ndarray:
-    """Per-band RMS of the SNR-improvement deviation across input SNRs."""
-    if ref.input_snrs != test.input_snrs or len(ref.grid) != len(test.grid):
+def snr_error(ref: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """Per-band RMS across input SNRs of the deviation of two (input SNR,
+    band) SNR improvements."""
+    if ref.shape != test.shape:
         raise ValueError("SNR sweeps are on different grids")
-    d2 = (ref.delta_r - test.delta_r) ** 2
-    return np.sqrt(np.nanmean(d2, axis=0))
+    return np.sqrt(np.nanmean((ref - test) ** 2, axis=0))
 
 
 # ---------------------------------------------------------------------------

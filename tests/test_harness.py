@@ -64,27 +64,40 @@ def test_config_rejects_empty_or_repeated_grid_entries(tmp_path, key):
 
 
 def test_config_stores_grid_numbers_as_floats(tmp_path):
-    """A grid written with integer offsets and SNRs is the float grid of
-    the presets, and hashes alike."""
+    """A config written with integer offsets, SNRs or scalar lengths is the
+    float config of the presets, and hashes alike."""
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump({
-        "preset": "desk", "scene_duration": 8.0, "pose_offsets": [0, 0.1, 0.5],
-        "input_snrs": list(range(-20, 21, 5))}))
-    config = SweepConfig.from_yaml(path)
-    assert all(type(v) is float
-               for v in config.pose_offsets + config.input_snrs)
-    preset = SweepConfig.desk_scale(scene_duration=8.0)
-    assert config.to_yaml() == preset.to_yaml()
-    assert config.config_hash() == preset.config_hash()
+    for numbers in ({"scene_duration": 8.0, "pose_offsets": [0, 0.1, 0.5],
+                     "input_snrs": list(range(-20, 21, 5))},
+                    {"scene_duration": 8},
+                    {"scene_duration": 8.0, "array_radius": 3,
+                     "pattern_probe_duration": 1, "band_min": 100,
+                     "band_max": 8000}):
+        path.write_text(yaml.safe_dump({"preset": "desk", **numbers}))
+        config = SweepConfig.from_yaml(path)
+        assert all(type(v) is float
+                   for v in config.pose_offsets + config.input_snrs)
+        assert all(type(getattr(config, key)) is float for key in (
+            "array_radius", "scene_duration", "pattern_probe_duration",
+            "band_min", "band_max", "head_radius")), numbers
+        preset = SweepConfig.desk_scale(scene_duration=8.0)
+        assert config.to_yaml() == preset.to_yaml()
+        assert config.config_hash() == preset.config_hash()
 
 
 def test_config_rejects_non_integer_speaker_counts(tmp_path):
     """Every cell of a 4.0-speaker grid would fail, and its CSV could not
-    be read back."""
+    be read back; a 48000.0 Hz rate or a boolean seed would hash apart
+    from the integer config it equals."""
     path = tmp_path / "cfg.yaml"
-    path.write_text("speaker_counts: [4.0]\n")
-    with pytest.raises(ValueError, match="speaker_counts must be integers"):
-        SweepConfig.from_yaml(path)
+    for key, value in (("speaker_counts", "[4.0]"),
+                       ("speaker_counts", "[true]"),
+                       ("sample_rate", "48000.0"), ("sample_rate", "true"),
+                       ("n_noise_sources", "20.0"), ("seed", "1.5"),
+                       ("seed", "false")):
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(ValueError, match=f"{key} must be.* integer"):
+            SweepConfig.from_yaml(path)
 
 
 def test_config_poses_are_lateral_offsets():
@@ -195,11 +208,14 @@ def test_contour_extract_edge_cases():
 def test_usable_bandwidth():
     surf = _surface(np.array([[1.0, 1.0, 9.0, 1.0],
                               [9.0, 9.0, 9.0, 9.0],
-                              [1.0, 1.0, 1.0, 1.0]]), counts=(4, 8, 12))
+                              [1.0, 1.0, 1.0, 1.0],
+                              [np.nan] * 4]), counts=(4, 8, 12, 24))
     bw = usable_bandwidth(surf, 5.0)
     assert bw[4] == pytest.approx(surf.band_centers[1])
     assert bw[8] == 0.0
     assert bw[12] == pytest.approx(surf.band_centers[-1])
+    # A row with no finite value was not measured; it has no bandwidth.
+    assert np.isnan(bw[24])
 
 
 def criterion_match_count(surface, threshold):
@@ -289,6 +305,12 @@ def test_report_contents(quick_result):
     assert quick_result.config_hash in text
     assert "snr/single_nr nsp" in text
     assert "N=  8" in text
+    # A failed cell's all-NaN row reads apart from a row that fails the
+    # criterion from its lowest band on.
+    surf = _surface([[9.0, 9.0], [np.nan, np.nan]])
+    lines = report(SweepResult(config=None, surfaces=[surf], failures=[],
+                               config_hash="deadbeef")).splitlines()
+    assert lines[-2:] == ["  N=  4: usable to none", "  N=  8: not measured"]
 
 
 def test_report_empty():
@@ -326,6 +348,32 @@ def test_ple_cells_recorded_per_direction(hrir_set, monkeypatch):
     good = ple.errors[np.isfinite(ple.errors)]
     assert result.surface("ple", "nsp", 0.0).values[0] == pytest.approx(
         np.sqrt(np.mean(good ** 2)))
+
+
+def test_missing_estimate_drops_its_direction(hrir_set, monkeypatch):
+    """A target whose test rendering gives no estimate is a NaN error: the
+    cell counts it as dropped and its PLE is the RMS of the others."""
+    targets = _small_ple(monkeypatch)
+    real_localize = harness.localize
+    calls = []
+
+    def localize_missing_the_last_test(buf, lookup):
+        calls.append(None)
+        # The reference unit localizes the targets first, then the cell.
+        if len(calls) == 2 * len(targets):
+            return localization.LocalizationEstimate(None, 0)
+        return real_localize(buf, lookup)
+
+    monkeypatch.setattr(harness, "localize", localize_missing_the_last_test)
+    result = run_sweep(PLE_QUICK, hrir_set=hrir_set, workers=1)
+    assert result.failures == []
+    ple = result.ple_cells[("nsp", 8, 0.0)]
+    assert ple.dropped == 1
+    assert np.isnan(ple.errors[-1])
+    others = ple.errors[:-1]
+    assert np.all(np.isfinite(others))
+    assert result.surface("ple", "nsp", 0.0).values[0] == pytest.approx(
+        np.sqrt(np.mean(others ** 2)))
 
 
 def test_algorithms_run_at_the_sweep_sample_rate():
@@ -373,14 +421,14 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     pattern = harness.beam_pattern(
         core, method, ReceiverBank(array, hrir_set, pose, core.channels),
         grid, probe_duration=config.pattern_probe_duration, seed=config.seed)
-    assert np.array_equal(test["beam", None].gains_db, pattern.gains_db)
+    assert np.array_equal(test["beam", None], pattern)
     ring = harness.build_array(len(harness.PATTERN_AZIMUTHS),
                                radius=hrir_set.distance)
     free_field = harness.beam_pattern(
         core, harness.ReproductionMethod.NSP,
         ReceiverBank(ring, hrir_set, pose, core.channels), grid,
         probe_duration=config.pattern_probe_duration, seed=config.seed)
-    assert np.array_equal(ref["beam", None].gains_db, free_field.gains_db)
+    assert np.array_equal(ref["beam", None], free_field)
     # The stems hold the channels of the ADM and the single-channel NR and
     # the calibration channel, in set order.
     snr_channels = (CALIBRATION_CHANNEL, "ha_L_front", "ha_L_rear")
@@ -389,10 +437,9 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
         sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
         hrir_set, pose, snr_channels)
     for name, alg in sweep.algorithms.items():
-        snr_sweep = harness.snr_improvement(alg, stems, grid,
-                                            input_snrs=config.input_snrs)
-        assert np.array_equal(test["snr", name].delta_r, snr_sweep.delta_r,
-                              equal_nan=True)
+        delta = harness.snr_improvement(alg, stems, grid,
+                                        input_snrs=config.input_snrs)
+        assert np.array_equal(test["snr", name], delta, equal_nan=True)
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
     distances = []
     for az, ref_buf in zip(harness.PLE_TARGET_AZIMUTHS,

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +32,56 @@ def test_no_unused_imports():
     unused = {str(path.relative_to(ROOT)): _unused_imports(path)
               for path in MODULES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def _definitions(tree: ast.Module) -> list:
+    """The top-level functions, classes and constants of a module and the
+    methods of its classes, as (node, name); dunder names are left out,
+    since the language calls them."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((node, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            defs += [(node, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defs += [(item, item.name) for item in node.body
+                     if isinstance(item, ast.FunctionDef)]
+    return [(node, name) for node, name in defs
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """How often each name is read in `tree`: as a name, as an attribute,
+    or as the name of an import."""
+    loads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            loads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            loads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            loads.update(alias.name for alias in node.names)
+    return loads
+
+
+def test_no_dead_definitions():
+    """Every function, class, constant and method defined in the package is
+    read somewhere in the package, the tests or the benchmark, outside its
+    own definition."""
+    paths = sorted({*MODULES, *(ROOT / "perfbench").glob("*.py")})
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    dead = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+            for path, tree in trees.items()
+            if path.parent.name == "spatsim"
+            for node, name in _definitions(tree)
+            if loads[name] == _loads(node)[name]]
+    assert dead == []
 
 
 def test_traced_names_resolve():

@@ -103,8 +103,9 @@ def test_rms_ignore_nan():
     assert cell.value == pytest.approx(np.sqrt(12.5))
     assert cell.dropped == 1
     assert np.isnan(PleCell(np.array([np.nan, np.nan])).value)
-    assert PleCell.from_estimates([3.0, None, 1.0],
-                                  [1.0, 0.0, None]).dropped == 2
+    # A missing estimate (None) on either side is a NaN entry.
+    assert PleCell(np.array([3.0, None, 1.0], dtype=float)
+                   - np.array([1.0, 0.0, None], dtype=float)).dropped == 2
 
 
 def test_perceived_location_error_constant_bias(hrir_set, lookup):
@@ -113,13 +114,13 @@ def test_perceived_location_error_constant_bias(hrir_set, lookup):
     # another noise probe than the reference, so the unbiased one reads
     # the estimate's dependence on the signal, not an exact 0.
     targets = np.array([-30.0, -15.0, 0.0, 15.0, 30.0])
-    reference = [localize(_render(hrir_set, az), lookup).fine_azimuth
-                 for az in targets]
+    reference = np.array([localize(_render(hrir_set, az), lookup).fine_azimuth
+                          for az in targets], dtype=float)
 
     def ple(bias):
-        return PleCell.from_estimates(
+        return PleCell(np.array(
             [localize(_render(hrir_set, az + bias, seed=23), lookup)
-             .fine_azimuth for az in targets], reference)
+             .fine_azimuth for az in targets], dtype=float) - reference)
 
     res = ple(5.0)
     assert res.dropped == 0

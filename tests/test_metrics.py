@@ -11,8 +11,8 @@ from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             SingleChannelNoiseReduction,
                             SpectralGainAlgorithm)
 from spatsim.hrir import CHANNELS_BEAMFORMER
-from spatsim.metrics import (BEAM_PATTERN_FLOOR_DB, BandGrid, BeamPattern,
-                             NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS, SnrSweep,
+from spatsim.metrics import (BEAM_PATTERN_FLOOR_DB, BandGrid,
+                             NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
                              beam_error, beam_pattern, make_third_octave_grid,
                              snr_error, snr_improvement, spectral_distance,
                              third_octave_analyze)
@@ -135,55 +135,38 @@ def test_band_analysis_matches_mask_oracle():
 # Beam error
 
 
-def _pattern(gains):
-    gains = np.asarray(gains, dtype=float)
-    n_az, n_bands = gains.shape
-    grid = make_third_octave_grid(100.0, 8000.0)
-    assert n_bands <= len(grid)
-    sub = BandGrid(grid.centers[:n_bands], grid.edges[:n_bands + 1])
-    return BeamPattern(azimuths=np.arange(n_az, dtype=float) * 5.0,
-                       grid=sub, gains_db=gains)
-
-
 def test_beam_error_axioms():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(72, 20))
     h = rng.normal(size=(72, 20))
-    assert np.all(beam_error(_pattern(g), _pattern(g)) == 0.0)
-    assert np.all(beam_error(_pattern(g), _pattern(h)) >= 0.0)
+    assert np.all(beam_error(g, g) == 0.0)
+    assert np.all(beam_error(g, h) >= 0.0)
 
 
 def test_beam_error_closed_form():
     # A constant 1 dB offset over 72 azimuths: root-sum-of-squares sqrt(72).
-    ref = _pattern(np.zeros((72, 20)))
-    test = _pattern(np.ones((72, 20)))
+    ref = np.zeros((72, 20))
+    test = np.ones((72, 20))
     assert np.allclose(beam_error(ref, test), np.sqrt(72.0))
 
 
 def test_beam_error_grid_mismatch():
     with pytest.raises(ValueError):
-        beam_error(_pattern(np.zeros((72, 20))), _pattern(np.zeros((36, 20))))
+        beam_error(np.zeros((72, 20)), np.zeros((36, 20)))
 
 
 # ---------------------------------------------------------------------------
 # SNR error
 
 
-def _sweep(delta):
-    delta = np.asarray(delta, dtype=float)
-    grid = make_third_octave_grid(100.0, 8000.0)
-    return SnrSweep(input_snrs=tuple(range(delta.shape[0])), grid=grid,
-                    delta_r=delta)
-
-
 def test_snr_error_axioms_and_closed_form():
     rng = np.random.default_rng(1)
     d = rng.normal(size=(9, 20))
     e = rng.normal(size=(9, 20))
-    assert np.all(snr_error(_sweep(d), _sweep(d)) == 0.0)
-    assert np.all(snr_error(_sweep(d), _sweep(e)) >= 0.0)
+    assert np.all(snr_error(d, d) == 0.0)
+    assert np.all(snr_error(d, e) >= 0.0)
     # Constant 1 dB deviation -> RMS of 1.0 per band.
-    assert np.allclose(snr_error(_sweep(d), _sweep(d + 1.0)), 1.0)
+    assert np.allclose(snr_error(d, d + 1.0), 1.0)
 
 
 def test_snr_error_ignores_missing_bands():
@@ -191,13 +174,13 @@ def test_snr_error_ignores_missing_bands():
     e = np.ones((4, 20))
     e[0, :] = np.nan
     d[0, :] = np.nan
-    err = snr_error(_sweep(d), _sweep(e))
+    err = snr_error(d, e)
     assert np.allclose(err, 1.0)
 
 
 def test_snr_error_mismatch():
     with pytest.raises(ValueError):
-        snr_error(_sweep(np.zeros((3, 20))), _sweep(np.zeros((4, 20))))
+        snr_error(np.zeros((3, 20)), np.zeros((4, 20)))
 
 
 def test_nominal_input_snrs():
@@ -242,11 +225,11 @@ def test_lti_algorithm_has_zero_snr_improvement(hrir_set):
     stems = render_scene_stems(scene, None, None, hrir_set, CENTER,
                                ("in_ear_L", "in_ear_R"))
     grid = make_third_octave_grid(100.0, 8000.0)
-    sweep = snr_improvement(_Gain(0.5), stems, grid, input_snrs=(0.0, 10.0))
-    assert np.nanmax(np.abs(sweep.delta_r)) < 0.05
+    delta = snr_improvement(_Gain(0.5), stems, grid, input_snrs=(0.0, 10.0))
+    assert np.nanmax(np.abs(delta)) < 0.05
     # And the improvement is independent of the input SNR.
-    assert np.allclose(np.nan_to_num(sweep.delta_r[0]),
-                       np.nan_to_num(sweep.delta_r[1]), atol=1e-6)
+    assert np.allclose(np.nan_to_num(delta[0]), np.nan_to_num(delta[1]),
+                       atol=1e-6)
 
 
 def _snr_improvement_per_snr(algorithm, stems, grid, input_snrs):
@@ -297,7 +280,7 @@ def test_snr_improvement_matches_per_snr_path(hrir_set, mvdr_design):
                   CoherenceNoiseReduction(), SingleChannelNoiseReduction(),
                   _Gain(0.5))
     for alg in algorithms:
-        got = snr_improvement(alg, stems, grid).delta_r
+        got = snr_improvement(alg, stems, grid)
         expected = _snr_improvement_per_snr(alg, stems, grid,
                                             NOMINAL_INPUT_SNRS)
         assert np.array_equal(np.isnan(got), np.isnan(expected)), alg.name
@@ -317,9 +300,9 @@ def test_beam_pattern_constant_gain(hrir_set):
     pat = beam_pattern(_Gain(0.5), ReproductionMethod.NSP,
                        _gain_bank(hrir_set, 4), grid, probe_duration=0.2,
                        azimuths=az)
-    assert pat.gains_db.shape == (2, len(grid))
+    assert pat.shape == (2, len(grid))
     # -6.02 dB everywhere, independent of azimuth and band.
-    assert np.allclose(pat.gains_db, 20.0 * np.log10(0.5), atol=0.05)
+    assert np.allclose(pat, 20.0 * np.log10(0.5), atol=0.05)
 
 
 def test_beam_pattern_floor(hrir_set):
@@ -327,7 +310,7 @@ def test_beam_pattern_floor(hrir_set):
     pat = beam_pattern(_Gain(0.0), ReproductionMethod.NSP,
                        _gain_bank(hrir_set, 4), grid, probe_duration=0.1,
                        azimuths=np.array([0.0]))
-    assert np.all(pat.gains_db == BEAM_PATTERN_FLOOR_DB)
+    assert np.all(pat == BEAM_PATTERN_FLOOR_DB)
 
 
 def test_beam_error_identity_through_pipeline(hrir_set):
@@ -362,8 +345,8 @@ def test_beam_pattern_equals_the_per_azimuth_renders(hrir_set, mvdr_design,
         got = beam_pattern(core, method, bank, grid, probe_duration=0.05)
         expected = beam_pattern_per_azimuth(core, oracle_method, bank,
                                             hrir_set, pose, grid, 0.05)
-        assert np.array_equal(got.azimuths, PATTERN_AZIMUTHS)
-        assert np.abs(got.gains_db - expected).max() <= 1e-9, (
+        assert got.shape == (len(PATTERN_AZIMUTHS), len(grid))
+        assert np.abs(got - expected).max() <= 1e-9, (
             oracle_method, bank.array.count)
 
 
