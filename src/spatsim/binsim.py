@@ -89,11 +89,10 @@ class ReceiverBank:
         self.array = array
         self.set = hrir_set
         self.channels = tuple(channels)
-        ch_idx = [hrir_set.channel_index(c) for c in self.channels]
-        irs = [translate_listener(hrir_set, listener, s)
-               for s in array.positions]
         # (n_speakers, n_selected_channels, ir_len)
-        self.irs = np.stack([ir[ch_idx] for ir in irs])
+        self.irs = np.stack([translate_listener(hrir_set, listener, s,
+                                                self.channels)
+                             for s in array.positions])
 
     def select(self, channels: tuple) -> "ReceiverBank":
         """This bank restricted to a subset of its channels, without
@@ -140,8 +139,7 @@ def render_reference(source: VirtualSource, hrir_set: HrirSet,
     measurement-distance delay), which makes a speaker-position source
     identical to its nearest-speaker rendering.
     """
-    ch_idx = [hrir_set.channel_index(c) for c in channels]
-    tir = translate_listener(hrir_set, listener, source.position)[ch_idx]
+    tir = translate_listener(hrir_set, listener, source.position, channels)
     delay = hrir_set.distance * hrir_set.sample_rate / SPEED_OF_SOUND
     gain = 1.0 / hrir_set.distance
     x = np.asarray(source.signal, dtype=float)

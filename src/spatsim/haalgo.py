@@ -130,8 +130,7 @@ def _channel_spectra(hrir_set: HrirSet, azimuth: float, channels: tuple,
     """
     from .hrir import interpolate_direction
 
-    irs = interpolate_direction(hrir_set, azimuth)
-    irs = irs[[hrir_set.channel_index(c) for c in channels]]
+    irs = interpolate_direction(hrir_set, azimuth, channels)
     irs = np.pad(irs, ((0, 0), (0, -irs.shape[1] % n_fft)))
     folded = irs.reshape(len(channels), -1, n_fft).sum(axis=1)
     return np.fft.rfft(folded, axis=1).T

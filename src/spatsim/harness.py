@@ -272,8 +272,14 @@ _ERRORS = {
 class _Sweep:
     """Everything the units of a sweep share, built once before the workers
     fork, and only what the configured metrics use: the MVDR design, the
-    algorithms, the cue lookup (calibrated through `map`), the scene, the
-    PLE probe and its free-field renders per pose.
+    algorithms, the cue lookup, the scene, the PLE probe and its free-field
+    renders per pose.
+
+    `map(call, args)` runs the set-up's parallel parts in argument order:
+    the cue lookup's columns, the scene's source signals and the free-field
+    probe renders, one (pose offset, azimuth) per call. A pool's map may run
+    them in other processes, forked with this object's state; only the
+    arguments and the results cross the pipe.
 
     A failed MVDR design is recorded in `failures`; the surfaces that need
     it then stay NaN.
@@ -321,23 +327,31 @@ class _Sweep:
             used.update(snr_used)
             self.scene = make_default_scene(
                 config.scene_duration, config.sample_rate,
-                n_noise=config.n_noise_sources, seed=config.seed)
+                n_noise=config.n_noise_sources, seed=config.seed, map=map)
         self.ref_renders = {}
         if "ple" in metrics or "spectral" in metrics:
             used.update(CHANNELS_LOCALIZATION)
             self.probe = speech_shaped_noise(1.0, config.sample_rate,
                                              seed=config.seed + 1)
+            jobs = [(offset, az) for offset in config.pose_offsets
+                    for az in PLE_TARGET_AZIMUTHS]
+            renders = iter(map(self._reference_render, jobs))
             self.ref_renders = {
-                offset: [render_reference(self._probe_source(az), hrir_set,
-                                          listener, CHANNELS_LOCALIZATION)
-                         for az in PLE_TARGET_AZIMUTHS]
-                for offset, listener in self.poses.items()}
+                offset: [next(renders) for _ in PLE_TARGET_AZIMUTHS]
+                for offset in config.pose_offsets}
         # The receiver channels the metrics of a cell render, in set order.
         self.channels = tuple(c for c in hrir_set.channels if c in used)
 
     def _probe_source(self, azimuth: float) -> VirtualSource:
         return VirtualSource(self.probe, Position2D.from_polar(
             azimuth, self.config.array_radius))
+
+    def _reference_render(self, job: tuple):
+        """The free-field render of the PLE probe from one target azimuth
+        at one pose, `job` = (pose offset, azimuth)."""
+        offset, azimuth = job
+        return render_reference(self._probe_source(azimuth), self.hrir_set,
+                                self.poses[offset], CHANNELS_LOCALIZATION)
 
     def unit(self, method_name: str | None, count: int | None,
              pose_offset: float) -> dict:
@@ -477,8 +491,10 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     Each pose's free-field reference and each cell is one unit of work;
     `workers` processes (default: `_default_workers()`) measure them,
     forked after the shared set-up, and the errors are formed here in grid
-    order. The cue lookup's columns are computed on such a pool too, before
-    the units. The result does not depend on `workers`.
+    order. The set-up's parallel parts (`_Sweep`: the cue lookup's columns,
+    the scene's source signals, the free-field probe renders) run on such
+    pools too, one pool per part, before the units. Every pool returns its
+    results in argument order, so the result does not depend on `workers`.
 
     Deterministic for a given config, which alone decides the surfaces
     (`_surface_keys` per method and pose); cell failures are recorded and

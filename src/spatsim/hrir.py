@@ -170,8 +170,10 @@ def _estimate_delay(spectrum: np.ndarray, freqs: np.ndarray) -> float:
     return -slope / (2.0 * np.pi)
 
 
-def interpolate_direction(hrir_set: HrirSet, azimuth: float) -> np.ndarray:
-    """Per-channel IR for an arbitrary azimuth, shape (n_channels, ir_length).
+def interpolate_direction(hrir_set: HrirSet, azimuth: float,
+                          channels: tuple) -> np.ndarray:
+    """IRs of the named channels for an arbitrary azimuth, shape
+    (len(channels), ir_length).
 
     On-grid azimuths are returned exactly. Off-grid azimuths are built from
     the two bracketing grid IRs by linear interpolation of the magnitude
@@ -181,9 +183,10 @@ def interpolate_direction(hrir_set: HrirSet, azimuth: float) -> np.ndarray:
     """
     if not math.isfinite(azimuth):
         raise ValueError("azimuth must be finite")
+    ch_idx = [hrir_set.channel_index(c) for c in channels]
     idx = hrir_set.grid_index(azimuth)
     if idx is not None:
-        return hrir_set.irs[idx].copy()
+        return hrir_set.irs[idx, ch_idx]
 
     step = hrir_set.grid_step
     rel = wrap_degrees(azimuth - hrir_set.azimuths[0])
@@ -193,8 +196,8 @@ def interpolate_direction(hrir_set: HrirSet, azimuth: float) -> np.ndarray:
 
     n = hrir_set.ir_length
     freqs = np.fft.rfftfreq(n, 1.0 / hrir_set.sample_rate)
-    out = np.empty_like(hrir_set.irs[i0])
-    for c in range(len(hrir_set.channels)):
+    out = np.empty((len(ch_idx), n))
+    for k, c in enumerate(ch_idx):
         h0 = np.fft.rfft(hrir_set.irs[i0, c])
         h1 = np.fft.rfft(hrir_set.irs[i1, c])
         tau0 = _estimate_delay(h0, freqs)
@@ -204,7 +207,7 @@ def interpolate_direction(hrir_set: HrirSet, azimuth: float) -> np.ndarray:
         mag = (1.0 - t) * np.abs(h0) + t * np.abs(h1)
         tau = (1.0 - t) * tau0 + t * tau1
         phase = (1.0 - t) * res0 + t * res1 - 2.0 * np.pi * freqs * tau
-        out[c] = np.fft.irfft(mag * np.exp(1j * phase), n=n)
+        out[k] = np.fft.irfft(mag * np.exp(1j * phase), n=n)
     return out
 
 
@@ -212,18 +215,18 @@ TRANSLATE_HEADROOM = 128
 
 
 def translate_listener(hrir_set: HrirSet, listener: Position2D,
-                       speaker: Position2D) -> np.ndarray:
-    """Effective per-channel IR from a speaker to a shifted listener.
+                       speaker: Position2D, channels: tuple) -> np.ndarray:
+    """Effective IR of each named channel from a speaker to a shifted
+    listener, shape (len(channels), ir_length + TRANSLATE_HEADROOM).
 
     Interpolates the HRIR for the listener-relative direction and applies the
     distance correction: gain distance_ref/d and delay (d - distance_ref)/c.
-    Output length is ir_length + TRANSLATE_HEADROOM samples.
     """
     if listener.norm() >= speaker.norm():
         raise ValueError("listener offset outside the speaker circle")
     rel = speaker - listener
     d = rel.norm()
-    irs = interpolate_direction(hrir_set, rel.azimuth)
+    irs = interpolate_direction(hrir_set, rel.azimuth, channels)
     gain = hrir_set.distance / d
     delay_s = (d - hrir_set.distance) * hrir_set.sample_rate / SPEED_OF_SOUND
     out_len = hrir_set.ir_length + TRANSLATE_HEADROOM

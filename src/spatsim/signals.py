@@ -8,6 +8,7 @@ speech surrogate, cafeteria-like babble noise).
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .binsim import SceneSpec, VirtualSource
 from .geometry import Position2D
@@ -66,8 +67,6 @@ def synthetic_speech(duration: float, sample_rate: int,
     # Syllables: active/pause gating with raised-cosine ramps, most active
     # syllables voiced, amplitudes gamma-distributed, each syllable filtered
     # through its own random formant resonators (spectral sparsity).
-    from scipy.signal import lfilter
-
     def resonator(fc, bw):
         r = np.exp(-np.pi * bw / sample_rate)
         return [1.0 - r], [1.0, -2.0 * r * np.cos(2.0 * np.pi * fc
@@ -134,23 +133,30 @@ def cafeteria_noise(duration: float, sample_rate: int,
 
 
 def make_default_scene(duration: float, sample_rate: int,
-                       n_noise: int = 20,
-                       seed: int = DEFAULT_SEED) -> SceneSpec:
+                       n_noise: int = 20, seed: int = DEFAULT_SEED,
+                       map=map) -> SceneSpec:
     """Frontal speech target at 3 m plus spatially distributed
     cafeteria-noise sources at seeded random azimuths, distances 1.5-4 m.
     Noise levels fall off with distance (the rendering applies the
-    1/distance law)."""
+    1/distance law).
+
+    Every seed and position is drawn first; then `map(signal, indices)`
+    synthesizes the source signals, the target's (index 0) and each noise's,
+    in source order; a pool's map may run them in other processes.
+    """
     rng = np.random.default_rng(seed)
-    target = VirtualSource(
-        signal=synthetic_speech(duration, sample_rate,
-                                seed=rng.integers(1 << 31)),
-        position=Position2D.from_polar(0.0, 3.0))
-    noises = []
+    seeds = [rng.integers(1 << 31)]
+    positions = [Position2D.from_polar(0.0, 3.0)]
     for _ in range(n_noise):
         az = rng.uniform(0.0, 360.0)
         dist = rng.uniform(1.5, 4.0)
-        noises.append(VirtualSource(
-            signal=cafeteria_noise(duration, sample_rate,
-                                   seed=rng.integers(1 << 31)),
-            position=Position2D.from_polar(az, dist)))
-    return SceneSpec(target=target, noises=tuple(noises))
+        seeds.append(rng.integers(1 << 31))
+        positions.append(Position2D.from_polar(az, dist))
+
+    def signal(i: int) -> np.ndarray:
+        generator = synthetic_speech if i == 0 else cafeteria_noise
+        return generator(duration, sample_rate, seed=seeds[i])
+
+    sources = [VirtualSource(signal=x, position=p) for x, p in
+               zip(map(signal, range(n_noise + 1)), positions)]
+    return SceneSpec(target=sources[0], noises=tuple(sources[1:]))

@@ -52,12 +52,11 @@ def test_channel_spectra_match_dtft_basis(hrir_set):
     stft = StftProcessor()
     freqs_norm = stft.frequencies / hrir_set.sample_rate
     for az in (0.0, 37.5, 180.0, 292.3):
-        irs = interpolate_direction(hrir_set, az)
+        irs = interpolate_direction(hrir_set, az, CHANNELS)
         assert irs.shape[1] > 4 * stft.window_size
         n = np.arange(irs.shape[1])
         basis = np.exp(-2j * np.pi * freqs_norm[:, None] * n[None, :])
-        idx = [hrir_set.channel_index(c) for c in CHANNELS]
-        expected = basis @ irs[idx].T
+        expected = basis @ irs.T
         got = _channel_spectra(hrir_set, az, CHANNELS, stft.window_size)
         assert got.shape == expected.shape
         assert (np.abs(got - expected).max()

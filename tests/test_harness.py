@@ -1,3 +1,4 @@
+import functools
 import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
@@ -10,6 +11,7 @@ from spatsim.cli import main
 from spatsim.haalgo import DesignError
 import spatsim.harness as harness
 import spatsim.localization as localization
+import spatsim.signals as signals
 from spatsim.harness import (ErrorSurface, PleCell, SweepConfig, SweepResult,
                              aliasing_overlay, contour_extract, criterion,
                              load_surfaces_csv, report, run_sweep,
@@ -588,21 +590,34 @@ def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
     assert np.isfinite(values[[0, 2]]).all() and np.isnan(values[1])
 
 
-def _lookup_probe_calls(monkeypatch, call):
-    """Makes every cue-lookup probe of a PLE sweep call `call()` before it
-    is rendered; returns the sweep's config."""
+# One spectral cell at the centre: free-field probe renders, no cue lookup.
+SPECTRAL_QUICK = SweepConfig.desk_scale(
+    speaker_counts=(4,), pose_offsets=(0.0,), methods=("nsp",),
+    metrics=("spectral",))
+
+
+def _setup_calls(monkeypatch, stage, call):
+    """With `_small_ple`, makes every call of one parallel set-up stage call
+    `call()` first: each cue-lookup probe render, each noise synthesis of
+    the scene, or each free-field probe render; returns a sweep's config
+    that runs the stage."""
     _small_ple(monkeypatch)
-    real_render = localization.render_reference
+    owner, name, config = {
+        "lookup": (localization, "render_reference", PLE_QUICK),
+        "scene": (signals, "cafeteria_noise", QUICK),
+        "probes": (harness, "render_reference", SPECTRAL_QUICK),
+    }[stage]
+    real = getattr(owner, name)
 
-    def render(*args):
+    def stage_call(*args, **kwargs):
         call()
-        return real_render(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(localization, "render_reference", render)
-    return PLE_QUICK
+    monkeypatch.setattr(owner, name, stage_call)
+    return config
 
 
-@pytest.mark.parametrize("stage", ["reference", "lookup"])
+@pytest.mark.parametrize("stage", ["reference", "lookup", "scene", "probes"])
 def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch, stage):
     real_stems = harness.render_scene_stems
 
@@ -611,23 +626,23 @@ def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch, stage):
             raise RuntimeError("no free-field stems")
         return real_stems(scene, method, *args)
 
-    def failing_probe():
-        raise RuntimeError(f"no free-field probe in process {os.getpid()}")
+    def failing_setup():
+        raise RuntimeError(f"no {stage} in process {os.getpid()}")
 
     if stage == "reference":
         config, message = QUICK, "no free-field stems"
         monkeypatch.setattr(harness, "render_scene_stems", failing_stems)
     else:
-        config = _lookup_probe_calls(monkeypatch, failing_probe)
-        message = "no free-field probe in process"
+        config = _setup_calls(monkeypatch, stage, failing_setup)
+        message = f"no {stage} in process"
     with pytest.raises(RuntimeError, match=message) as raised:
         run_sweep(config, hrir_set=hrir_set, workers=2)
-    if stage == "lookup":
+    if stage != "reference":
         assert int(str(raised.value).split()[-1]) != os.getpid()
     assert harness._WORKER_CALL is None
 
 
-@pytest.mark.parametrize("stage", ["unit", "lookup"])
+@pytest.mark.parametrize("stage", ["unit", "lookup", "scene", "probes"])
 def test_dead_worker_fails_the_sweep(hrir_set, monkeypatch, stage):
     parent = os.getpid()
     real_build_array = harness.build_array
@@ -644,9 +659,23 @@ def test_dead_worker_fails_the_sweep(hrir_set, monkeypatch, stage):
         config = QUICK
         monkeypatch.setattr(harness, "build_array", dying_build_array)
     else:
-        config = _lookup_probe_calls(monkeypatch, die_in_worker)
+        config = _setup_calls(monkeypatch, stage, die_in_worker)
     with pytest.raises(BrokenProcessPool):
         run_sweep(config, hrir_set=hrir_set, workers=2)
+    assert harness._WORKER_CALL is None
+
+
+def test_scene_on_a_pool_equals_the_serial_scene():
+    serial = signals.make_default_scene(0.25, 48000, seed=5)
+    pooled = signals.make_default_scene(
+        0.25, 48000, seed=5,
+        map=functools.partial(harness._pool_map, workers=2))
+    sources = [(serial.target, pooled.target),
+               *zip(serial.noises, pooled.noises)]
+    assert len(sources) == 21 and len(pooled.noises) == 20
+    for a, b in sources:
+        assert np.array_equal(a.signal, b.signal)
+        assert a.position == b.position
 
 
 def test_ple_sweep_pickles_no_hrir_set(hrir_set, monkeypatch):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import spherical_jn, spherical_yn
 
+import spatsim.sphere as sphere
 from spatsim.geometry import Position2D
-from spatsim.hrir import (CHANNELS, HrirLoadError, HrirSet,
+from spatsim.hrir import (CHANNELS, CHANNELS_BEAMFORMER,
+                          CHANNELS_LOCALIZATION, HrirLoadError, HrirSet,
                           _estimate_delay, interpolate_direction,
                           load_hrir_set, save_hrir_set, synth_sphere_hrir,
                           translate_listener)
@@ -77,7 +80,7 @@ def test_azimuth_grid_must_close_the_circle(tmp_path, step, stop, closes):
 def test_interpolation_exact_on_grid(hrir_set):
     for az in (0.0, 35.0, 355.0):
         idx = hrir_set.grid_index(az)
-        out = interpolate_direction(hrir_set, az)
+        out = interpolate_direction(hrir_set, az, CHANNELS)
         assert np.array_equal(out, hrir_set.irs[idx])
 
 
@@ -87,14 +90,14 @@ def test_interpolation_of_identical_neighbors():
     irs = np.repeat(ir, 8, axis=0)
     hs = HrirSet(sample_rate=48000, distance=3.0,
                  azimuths=np.arange(0.0, 360.0, 45.0), irs=irs)
-    out = interpolate_direction(hs, 22.5)
+    out = interpolate_direction(hs, 22.5, CHANNELS)
     assert np.abs(out - ir[0]).max() < 1e-9
 
 
 def test_interpolation_magnitude_error_vs_fine_grid(hrir_set):
     coarse = synth_sphere_hrir(azimuth_grid=np.arange(0.0, 360.0, 10.0))
     for az in (15.0, 95.0, 185.0):
-        interp = interpolate_direction(coarse, az)
+        interp = interpolate_direction(coarse, az, CHANNELS)
         truth = hrir_set.irs[hrir_set.grid_index(az)]
         for c in (0, 1):
             hi = np.abs(np.fft.rfft(interp[c]))
@@ -110,7 +113,7 @@ def test_interpolation_energy_bounded(hrir_set):
     for az in (2.5, 92.5, 277.5):
         i0 = hrir_set.grid_index(az - 2.5)
         i1 = hrir_set.grid_index(az + 2.5)
-        out = interpolate_direction(hrir_set, az)
+        out = interpolate_direction(hrir_set, az, CHANNELS)
         for c in range(len(CHANNELS)):
             e = np.sum(out[c] ** 2)
             e0 = np.sum(hrir_set.irs[i0, c] ** 2)
@@ -120,8 +123,9 @@ def test_interpolation_energy_bounded(hrir_set):
 
 def test_translate_identity_at_origin(hrir_set):
     speaker = Position2D.from_polar(40.0, 3.0)
-    out = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker)
-    direct = interpolate_direction(hrir_set, 40.0)
+    out = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker,
+                             CHANNELS)
+    direct = interpolate_direction(hrir_set, 40.0, CHANNELS)
     n = direct.shape[1]
     assert np.abs(out[:, :n] - direct).max() < 1e-9
     assert np.abs(out[:, n:]).max() < 1e-9
@@ -131,8 +135,9 @@ def test_translate_toward_speaker(hrir_set):
     # 0.5 m toward a frontal speaker at 3 m: distance 2.5 m, gain 3/2.5.
     pose = Position2D(0.5, 0.0)
     speaker = Position2D.from_polar(0.0, 3.0)
-    out = translate_listener(hrir_set, pose, speaker)
-    ref = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker)
+    out = translate_listener(hrir_set, pose, speaker, CHANNELS)
+    ref = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker,
+                             CHANNELS)
     gain = np.sqrt(np.sum(out[0] ** 2) / np.sum(ref[0] ** 2))
     assert gain == pytest.approx(3.0 / 2.5, rel=1e-3)
     freqs = np.fft.rfftfreq(out.shape[1], 1.0 / hrir_set.sample_rate)
@@ -144,8 +149,9 @@ def test_translate_toward_speaker(hrir_set):
 def test_translate_lateral_distance(hrir_set):
     pose = Position2D(0.0, 0.1)
     speaker = Position2D.from_polar(90.0, 3.0)
-    out = translate_listener(hrir_set, pose, speaker)
-    ref = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker)
+    out = translate_listener(hrir_set, pose, speaker, CHANNELS)
+    ref = translate_listener(hrir_set, Position2D(0.0, 0.0), speaker,
+                             CHANNELS)
     gain = np.sqrt(np.sum(out[0] ** 2) / np.sum(ref[0] ** 2))
     assert gain == pytest.approx(3.0 / 2.9, rel=1e-3)
 
@@ -153,7 +159,64 @@ def test_translate_lateral_distance(hrir_set):
 def test_translate_rejects_outside_array(hrir_set):
     with pytest.raises(ValueError):
         translate_listener(hrir_set, Position2D(0.0, 3.5),
-                           Position2D.from_polar(0.0, 3.0))
+                           Position2D.from_polar(0.0, 3.0), CHANNELS)
+
+
+@pytest.mark.parametrize("listener", [Position2D(0.0, 0.0),
+                                      Position2D(0.0, 0.5)])
+@pytest.mark.parametrize("channels", [CHANNELS_LOCALIZATION,
+                                      CHANNELS_BEAMFORMER, ("ha_R_rear",
+                                                            "in_ear_L")])
+def test_translate_only_the_kept_channels(hrir_set, listener, channels):
+    """A channel subset gives the same samples as all channels followed by
+    the selection, for on-grid (centre) and off-grid (0.5 m) directions."""
+    idx = [hrir_set.channel_index(c) for c in channels]
+    for az in (0.0, 40.0, 95.0, 262.5):
+        speaker = Position2D.from_polar(az, 3.0)
+        full = translate_listener(hrir_set, listener, speaker, CHANNELS)
+        assert np.array_equal(
+            translate_listener(hrir_set, listener, speaker, channels),
+            full[idx])
+        rel = (speaker - listener).azimuth
+        assert np.array_equal(
+            interpolate_direction(hrir_set, rel, channels),
+            interpolate_direction(hrir_set, rel, CHANNELS)[idx])
+
+
+def _spherical_jy_by_scipy(n_max, z):
+    """Oracle of `sphere._spherical_jy`: scipy's spherical Bessel
+    functions."""
+    n = np.arange(n_max + 1)[:, None]
+    return spherical_jn(n, z), spherical_yn(n, z)
+
+
+@pytest.mark.parametrize("distance", [3.0, 0.5])
+def test_sphere_bessel_recurrence_equals_scipy(monkeypatch, distance):
+    """The recurrence gives scipy's spherical Bessel values and derivatives
+    to the bit wherever they are finite (past y_n's overflow scipy gives
+    -inf, the recurrence inf or nan), and so the same transfer function,
+    on the default frequency grid."""
+    freqs = np.fft.rfftfreq(4800, 1.0 / 48000)
+    mu = 2.0 * np.pi * freqs[1:] * 0.0875 / 343.0
+    n_max = int(np.ceil(mu.max())) + 60
+    n = np.arange(n_max + 1)[:, None]
+    for z in (mu * distance / 0.0875, mu):
+        with np.errstate(over="ignore", invalid="ignore"):
+            j, y = sphere._spherical_jy(n_max, z)
+            values = (j, y, sphere._derivative(j, z),
+                      sphere._derivative(y, z))
+        expected = (spherical_jn(n, z), spherical_yn(n, z),
+                    spherical_jn(n, z, derivative=True),
+                    spherical_yn(n, z, derivative=True))
+        for got, want in zip(values, expected):
+            finite = np.isfinite(want)
+            assert np.array_equal(got[finite], want[finite])
+            assert not np.isfinite(got[~finite]).any()
+    cosines = np.cos(np.radians(np.arange(0.0, 181.0, 2.5)))
+    h = sphere_transfer(freqs, cosines, 0.0875, distance)
+    monkeypatch.setattr(sphere, "_spherical_jy", _spherical_jy_by_scipy)
+    assert np.array_equal(h, sphere_transfer(freqs, cosines, 0.0875,
+                                             distance))
 
 
 def test_save_load_round_trip(tmp_path):
