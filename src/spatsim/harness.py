@@ -27,8 +27,9 @@ from .geometry import Position2D, build_array
 from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      DesignError, MvdrBeamformer, MvdrCoreBeamformer,
                      SingleChannelNoiseReduction, design_mvdr)
-from .hrir import (CHANNELS_LOCALIZATION, DEFAULT_HEAD_RADIUS, HrirSet,
-                   MicLayout, load_hrir_set, synth_sphere_hrir)
+from .hrir import (CHANNELS, CHANNELS_LOCALIZATION, DEFAULT_HEAD_RADIUS,
+                   HrirLoadError, HrirSet, MicLayout, load_hrir_set,
+                   synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
 from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
                       beam_error, beam_pattern, make_third_octave_grid,
@@ -216,16 +217,60 @@ class SweepResult:
         raise KeyError((metric, method, pose_offset, algorithm))
 
 
+# The receiver channel that spectral distance compares.
+SPECTRAL_CHANNEL = "in_ear_L"
+# The receiver channels each metric reads. SNR reads each configured
+# algorithm's channels too, and calibrates its input SNRs on the
+# calibration channel.
+_METRIC_CHANNELS = {
+    "beam": MvdrCoreBeamformer.channels,
+    "snr": (CALIBRATION_CHANNEL,),
+    "ple": CHANNELS_LOCALIZATION,
+    "spectral": (SPECTRAL_CHANNEL,),
+}
+_ALGORITHM_CHANNELS = {
+    "beamformer": MvdrBeamformer.channels,
+    "adm": AdaptiveDifferentialMic.channels,
+    "coherence_nr": CoherenceNoiseReduction.channels,
+    "single_nr": SingleChannelNoiseReduction.channels,
+}
+
+
+def _channels_read(metrics, algorithms=()) -> tuple:
+    """The receiver channels that `metrics` and `algorithms` read, in
+    `CHANNELS` order."""
+    used = set().union(*(_METRIC_CHANNELS[m] for m in metrics),
+                       *(_ALGORITHM_CHANNELS[a] for a in algorithms))
+    return tuple(c for c in CHANNELS if c in used)
+
+
+def receiver_channels(config: SweepConfig) -> tuple:
+    """The receiver channels the configured metrics read, in `CHANNELS`
+    order: beam the MVDR core's six BTE channels, SNR each configured
+    algorithm's channels and `in_ear_L`, PLE both in-ear channels, and
+    spectral distance `in_ear_L`, the one channel it compares."""
+    return _channels_read(config.metrics, config.algorithms
+                          if "snr" in config.metrics else ())
+
+
 def _load_hrirs(config: SweepConfig) -> HrirSet:
+    """The sweep's HRIR set over only `receiver_channels(config)`; the
+    full set is dropped as soon as it is synthesized or loaded."""
+    channels = receiver_channels(config)
     if config.hrir_source == "sphere":
         return synth_sphere_hrir(sample_rate=config.sample_rate,
                                  head_radius=config.head_radius,
-                                 distance=config.array_radius)
+                                 distance=config.array_radius).select(channels)
     hrir_set = load_hrir_set(config.hrir_source)
     if hrir_set.sample_rate != config.sample_rate:
         raise ValueError(f"HRIR set at {hrir_set.sample_rate} Hz, sweep at "
                          f"{config.sample_rate} Hz: {config.hrir_source}")
-    return hrir_set
+    missing = [c for c in channels if c not in hrir_set.channels]
+    if missing:
+        raise HrirLoadError(f"HRIR set lacks the channel(s) {missing} that "
+                            f"the configured metrics read: "
+                            f"{config.hrir_source}")
+    return hrir_set.select(channels)
 
 
 def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
@@ -275,6 +320,12 @@ class _Sweep:
     algorithms, the cue lookup, the scene, the PLE probe and its free-field
     renders per pose.
 
+    A cell's bank holds the set's channels, so a set restricted to
+    `receiver_channels(config)` (as `run_sweep` passes it) gives banks over
+    only the channels the metrics read. The free-field probe renders hold
+    only the channels that PLE (both in-ear channels) and spectral distance
+    (`in_ear_L`) read.
+
     `map(call, args)` runs the set-up's parallel parts in argument order:
     the cue lookup's columns, the scene's source signals and the free-field
     probe renders, one (pose offset, azimuth) per call. A pool's map may run
@@ -306,12 +357,10 @@ class _Sweep:
         # The beam pattern uses the linear beamformer core; the time-variant
         # post filter would dominate the pattern differences at all
         # frequencies.
-        used = set()
         self.pattern_algorithm = None
         if "beam" in metrics and design is not None:
             self.pattern_algorithm = MvdrCoreBeamformer(
                 design, stft=StftProcessor(sample_rate=hrir_set.sample_rate))
-            used.update(self.pattern_algorithm.channels)
         self.lookup = None
         if "ple" in metrics:
             self.lookup = build_cue_lookup(hrir_set, seed=config.seed + 2,
@@ -319,18 +368,15 @@ class _Sweep:
         self.scene = None
         if "snr" in metrics:
             # The scene stems hold the algorithms' channels and the
-            # calibration channel, in set order.
-            snr_used = {CALIBRATION_CHANNEL}.union(
-                *(alg.channels for alg in self.algorithms.values()))
-            self.snr_channels = tuple(c for c in hrir_set.channels
-                                      if c in snr_used)
-            used.update(snr_used)
+            # calibration channel.
+            self.snr_channels = _channels_read(("snr",), self.algorithms)
             self.scene = make_default_scene(
                 config.scene_duration, config.sample_rate,
                 n_noise=config.n_noise_sources, seed=config.seed, map=map)
         self.ref_renders = {}
-        if "ple" in metrics or "spectral" in metrics:
-            used.update(CHANNELS_LOCALIZATION)
+        self.probe_channels = _channels_read(
+            [m for m in metrics if m in ("ple", "spectral")])
+        if self.probe_channels:
             self.probe = speech_shaped_noise(1.0, config.sample_rate,
                                              seed=config.seed + 1)
             jobs = [(offset, az) for offset in config.pose_offsets
@@ -339,8 +385,6 @@ class _Sweep:
             self.ref_renders = {
                 offset: [next(renders) for _ in PLE_TARGET_AZIMUTHS]
                 for offset in config.pose_offsets}
-        # The receiver channels the metrics of a cell render, in set order.
-        self.channels = tuple(c for c in hrir_set.channels if c in used)
 
     def _probe_source(self, azimuth: float) -> VirtualSource:
         return VirtualSource(self.probe, Position2D.from_polar(
@@ -351,7 +395,7 @@ class _Sweep:
         at one pose, `job` = (pose offset, azimuth)."""
         offset, azimuth = job
         return render_reference(self._probe_source(azimuth), self.hrir_set,
-                                self.poses[offset], CHANNELS_LOCALIZATION)
+                                self.poses[offset], self.probe_channels)
 
     def unit(self, method_name: str | None, count: int | None,
              pose_offset: float) -> dict:
@@ -365,10 +409,10 @@ class _Sweep:
         method = bank = None
         if method_name is not None:
             method = ReproductionMethod(method_name)
-            # One bank for every metric of the cell; each renders only its
-            # own channels of it.
+            # One bank over the set's channels for every metric of the
+            # cell; each renders only its own channels of it.
             bank = ReceiverBank(build_array(count, radius=config.array_radius),
-                                hrir_set, listener, self.channels)
+                                hrir_set, listener, hrir_set.channels)
         out = {}
         if self.pattern_algorithm is not None:
             # Free field: NSP on a ring with a speaker on every probe
@@ -392,9 +436,10 @@ class _Sweep:
                     alg, stems, self.grid, input_snrs=config.input_snrs)
         refs = self.ref_renders.get(pose_offset, ())
         if refs and bank is not None:
-            bank = bank.select(CHANNELS_LOCALIZATION)
+            bank = bank.select(self.probe_channels)
         ple = "ple" in config.metrics
         spectral = "spectral" in config.metrics and method is not None
+        row = self.probe_channels.index(SPECTRAL_CHANNEL) if spectral else None
         azimuths, distances = [], []
         for az, ref in zip(PLE_TARGET_AZIMUTHS, refs):
             buf = ref
@@ -404,7 +449,7 @@ class _Sweep:
                 azimuths.append(localize(buf, self.lookup).fine_azimuth)
             if spectral:
                 distances.append(spectral_distance(
-                    ref.samples[0], buf.samples[0], buf.sample_rate))
+                    ref.samples[row], buf.samples[row], buf.sample_rate))
         if ple:
             out["ple", None] = np.array(azimuths, dtype=float)
         if spectral:
@@ -488,6 +533,13 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
               progress=None, workers: int | None = None) -> SweepResult:
     """Evaluate the whole (method x N x pose) grid.
 
+    The HRIR set (`hrir_set`, or the one `config.hrir_source` names) is
+    restricted to `receiver_channels(config)` before anything is built from
+    it: the sweep holds the six BTE channels for beam, each algorithm's
+    channels and `in_ear_L` for SNR, both in-ear channels for PLE and
+    `in_ear_L` for spectral distance. A saved set that lacks one of them
+    fails here, naming the channels and the directory.
+
     Each pose's free-field reference and each cell is one unit of work;
     `workers` processes (default: `_default_workers()`) measure them,
     forked after the shared set-up, and the errors are formed here in grid
@@ -506,8 +558,11 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
         workers = _default_workers()
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
+    # The sweep holds only the channels its metrics read.
     if hrir_set is None:
         hrir_set = _load_hrirs(config)
+    else:
+        hrir_set = hrir_set.select(receiver_channels(config))
     sweep = _Sweep(config, hrir_set,
                    functools.partial(_pool_map, workers=workers))
     units = []

@@ -8,7 +8,7 @@ aid microphones per side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,20 @@ class HrirSet:
 
     def channel_index(self, name: str) -> int:
         return self.channels.index(name)
+
+    def select(self, channels: tuple) -> "HrirSet":
+        """This set restricted to the named channels, in that order, over a
+        copy of their IRs, so that the full array can be freed. Its own
+        channels give the set itself."""
+        channels = tuple(channels)
+        if channels == self.channels:
+            return self
+        missing = [c for c in channels if c not in self.channels]
+        if missing:
+            raise ValueError(f"HRIR set lacks the channel(s) {missing} (it "
+                             f"holds {list(self.channels)})")
+        return replace(self, channels=channels, irs=self.irs[
+            :, [self.channel_index(c) for c in channels]])
 
     def grid_index(self, azimuth: float) -> int | None:
         """Index of an on-grid azimuth, or None if off-grid."""

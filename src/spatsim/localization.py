@@ -57,21 +57,22 @@ class BandCues:
     ild_db: np.ndarray          # level difference (L - R) per glimpse
 
 
-def _band_statistics(yl: np.ndarray, yr: np.ndarray,
-                     sample_rate: int) -> tuple:
-    """Smoothed interaural vector strength, phase statistic, and ILD."""
+def _band_cues(yl: np.ndarray, yr: np.ndarray, sample_rate: int) -> BandCues:
+    """The glimpses of one band, from its smoothed interaural vector
+    strength, and at them only the phase statistic (the phase of the
+    smoothed cross spectrum) and the ILD (non-finite values as 0 dB)."""
     cross = yl * np.conj(yr)
     mag = np.abs(cross)
     unit = np.where(mag > 0.0, cross / np.maximum(mag, 1e-30), 0.0)
     vs = one_pole_smooth(unit, COHERENCE_TAU, sample_rate)
-    coherence = np.abs(vs)
-    phase = np.angle(one_pole_smooth(cross, COHERENCE_TAU, sample_rate))
-    pl = one_pole_smooth(np.abs(yl) ** 2, COHERENCE_TAU, sample_rate)
-    pr = one_pole_smooth(np.abs(yr) ** 2, COHERENCE_TAU, sample_rate)
+    mask = _glimpse_mask(np.abs(vs))
+    phase = np.angle(one_pole_smooth(cross, COHERENCE_TAU, sample_rate)[mask])
+    pl = one_pole_smooth(np.abs(yl) ** 2, COHERENCE_TAU, sample_rate)[mask]
+    pr = one_pole_smooth(np.abs(yr) ** 2, COHERENCE_TAU, sample_rate)[mask]
     with np.errstate(divide="ignore", invalid="ignore"):
         ild = 10.0 * np.log10(pl / pr)
     ild[~np.isfinite(ild)] = 0.0
-    return coherence, phase, ild
+    return BandCues(phase, ild)
 
 
 def _glimpse_mask(coherence: np.ndarray) -> np.ndarray:
@@ -95,11 +96,8 @@ def extract_cues(buffer: AudioBuffer) -> list:
     bands = []
     for fc in gammatone_centers(FINE_BAND_LO_HZ, FINE_BAND_HI_HZ,
                                 FINE_BAND_COUNT):
-        yl = gammatone_band(left, fc, rate)
-        yr = gammatone_band(right, fc, rate)
-        coh, phase, ild = _band_statistics(yl, yr, rate)
-        mask = _glimpse_mask(coh)
-        bands.append(BandCues(phase[mask], ild[mask]))
+        bands.append(_band_cues(gammatone_band(left, fc, rate),
+                                gammatone_band(right, fc, rate), rate))
     return bands
 
 

@@ -20,8 +20,9 @@ from spatsim.harness import (ErrorSurface, PleCell, SweepConfig, SweepResult,
 from spatsim.binsim import (CALIBRATION_CHANNEL, ReceiverBank,
                             VirtualSource, render_source)
 from spatsim.geometry import Position2D
-from spatsim.hrir import (CHANNELS_LOCALIZATION, HrirSet, save_hrir_set,
-                          synth_sphere_hrir)
+from spatsim.hrir import (CHANNELS, CHANNELS_BEAMFORMER,
+                          CHANNELS_LOCALIZATION, HrirLoadError, HrirSet,
+                          save_hrir_set, synth_sphere_hrir)
 from spatsim.metrics import make_third_octave_grid
 
 
@@ -452,6 +453,90 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
         distances.append(harness.spectral_distance(
             ref_buf.samples[0], buf.samples[0], buf.sample_rate))
     assert test["spectral", None] == float(np.mean(distances))
+
+
+BTE = CHANNELS_BEAMFORMER
+
+
+@pytest.mark.parametrize("metric, algorithms, channels", [
+    ("beam", harness.ALGORITHM_NAMES, BTE),
+    ("snr", harness.ALGORITHM_NAMES, ("in_ear_L",) + BTE),
+    ("snr", ("adm",), ("in_ear_L", "ha_L_front", "ha_L_rear")),
+    ("snr", ("coherence_nr",), ("in_ear_L", "ha_L_front", "ha_R_front")),
+    ("snr", ("single_nr",), ("in_ear_L", "ha_L_front")),
+    ("ple", harness.ALGORITHM_NAMES, CHANNELS_LOCALIZATION),
+    ("spectral", harness.ALGORITHM_NAMES, ("in_ear_L",)),
+])
+def test_receiver_channels_per_metric(metric, algorithms, channels):
+    config = SweepConfig(metrics=(metric,), algorithms=algorithms)
+    assert harness.receiver_channels(config) == channels
+
+
+def test_receiver_channels_of_a_metric_mix():
+    """The union of the metrics' channels, in set order; the algorithms
+    count only where SNR is measured."""
+    mixed = SweepConfig(metrics=("beam", "snr", "spectral"))
+    assert harness.receiver_channels(mixed) == ("in_ear_L",) + BTE
+    ear = SweepConfig(metrics=("ple", "spectral"), algorithms=("adm",))
+    assert harness.receiver_channels(ear) == CHANNELS_LOCALIZATION
+    assert harness.receiver_channels(SweepConfig()) == CHANNELS
+
+
+@pytest.mark.parametrize("metrics", [("beam",), ("snr", "spectral"),
+                                     ("ple", "spectral")])
+def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
+                                                   metrics):
+    """A sweep's HRIR set holds only the channels its metrics read; each
+    unit's raw measurements equal those from the full 8-channel set, the
+    free-field probe renders equal the rows of a render over both ears,
+    and spectral distance compares `in_ear_L` whatever else is rendered."""
+    _small_ple(monkeypatch)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
+        algorithms=("adm", "single_nr"), metrics=metrics,
+        input_snrs=(-5.0, 5.0), scene_duration=0.5, n_noise_sources=3,
+        pattern_probe_duration=0.1)
+    restricted = hrir_set.select(harness.receiver_channels(config))
+    assert len(restricted.channels) < len(hrir_set.channels)
+    full, sweep = (harness._Sweep(config, hs) for hs in (hrir_set, restricted))
+    for unit in ((None, None, 0.5), ("vbap", 6, 0.5)):
+        want, got = full.unit(*unit), sweep.unit(*unit)
+        assert list(got) == list(want) != []
+        for key, value in want.items():
+            assert np.array_equal(got[key], value, equal_nan=True), key
+    pose = config.poses()[0]
+    left = ReceiverBank(harness.build_array(6, radius=config.array_radius),
+                        hrir_set, pose, ("in_ear_L",))
+    rows = [CHANNELS_LOCALIZATION.index(c) for c in sweep.probe_channels]
+    distances = []
+    for az, ref in zip(harness.PLE_TARGET_AZIMUTHS,
+                       sweep.ref_renders.get(0.5, ())):
+        src = VirtualSource(sweep.probe,
+                            Position2D.from_polar(az, config.array_radius))
+        ears = harness.render_reference(src, hrir_set, pose,
+                                        CHANNELS_LOCALIZATION)
+        assert np.array_equal(ref.samples, ears.samples[rows])
+        test = render_source(harness.ReproductionMethod.VBAP, left, src)
+        distances.append(harness.spectral_distance(
+            ears.samples[0], test.samples[0], config.sample_rate))
+    if "spectral" in metrics:
+        assert got["spectral", None] == float(np.mean(distances))
+
+
+def test_saved_set_without_a_read_channel_fails_at_load(tmp_path):
+    """A saved set must hold every channel the configured metrics read;
+    one that lacks some fails at load, naming them and the directory."""
+    path = tmp_path / "in_ear_only"
+    save_hrir_set(synth_sphere_hrir(azimuth_grid=np.arange(0.0, 360.0, 90.0),
+                                    ir_length=256)
+                  .select(CHANNELS_LOCALIZATION), path)
+    config = SweepConfig.desk_scale(hrir_source=str(path), metrics=("beam",))
+    with pytest.raises(HrirLoadError) as raised:
+        run_sweep(config, workers=1)
+    message = str(raised.value)
+    assert str(list(BTE)) in message and str(path) in message
+    ple = SweepConfig.desk_scale(hrir_source=str(path), metrics=("ple",))
+    assert harness._load_hrirs(ple).channels == CHANNELS_LOCALIZATION
 
 
 def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):

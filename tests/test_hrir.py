@@ -232,6 +232,19 @@ def test_save_load_round_trip(tmp_path):
     assert np.abs(loaded.irs - hs.irs).max() < 1e-6
 
 
+def test_select_keeps_the_named_channels(hrir_set):
+    sub = hrir_set.select(("in_ear_R", "ha_L_front"))
+    assert sub.channels == ("in_ear_R", "ha_L_front")
+    assert np.array_equal(sub.irs, hrir_set.irs[:, [1, 2]])
+    assert not np.shares_memory(sub.irs, hrir_set.irs)
+    assert np.array_equal(interpolate_direction(sub, 12.5, ("ha_L_front",)),
+                          interpolate_direction(hrir_set, 12.5,
+                                                ("ha_L_front",)))
+    assert hrir_set.select(CHANNELS) is hrir_set
+    with pytest.raises(ValueError, match="lacks the channel.*ha_R_mid"):
+        sub.select(("in_ear_R", "ha_R_mid"))
+
+
 def test_load_errors(tmp_path):
     hs = synth_sphere_hrir(azimuth_grid=np.arange(0.0, 360.0, 90.0),
                            ir_length=1024)

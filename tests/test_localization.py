@@ -7,6 +7,7 @@ from spatsim.binsim import AudioBuffer, VirtualSource, render_reference
 from spatsim.geometry import Position2D
 from spatsim.hrir import CHANNELS_LOCALIZATION
 import spatsim.harness as harness
+import spatsim.localization as localization
 from spatsim.harness import PleCell
 from spatsim.localization import (build_cue_lookup, extract_cues,
                                   gammatone_band, gammatone_centers, localize)
@@ -51,6 +52,50 @@ def test_gammatone_band_rejects_remote_frequency():
     x = np.sin(2.0 * np.pi * 4000.0 * t)
     env = np.abs(gammatone_band(x, fc, RATE)[RATE // 4:])
     assert env.mean() < 0.05
+
+
+def _full_band_cues(buffer):
+    """Oracle of `extract_cues`: the phase statistic and the ILD of every
+    sample of each band, then kept at the glimpses."""
+    rate = buffer.sample_rate
+    bands = []
+    for fc in gammatone_centers(localization.FINE_BAND_LO_HZ,
+                                localization.FINE_BAND_HI_HZ,
+                                localization.FINE_BAND_COUNT):
+        yl, yr = (gammatone_band(x, fc, rate) for x in buffer.samples)
+        cross = yl * np.conj(yr)
+        mag = np.abs(cross)
+        unit = np.where(mag > 0.0, cross / np.maximum(mag, 1e-30), 0.0)
+        smooth = functools.partial(localization.one_pole_smooth,
+                                   tau=localization.COHERENCE_TAU,
+                                   rate=rate)
+        coherence = np.abs(smooth(unit))
+        phase = np.angle(smooth(cross))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ild = 10.0 * np.log10(smooth(np.abs(yl) ** 2)
+                                  / smooth(np.abs(yr) ** 2))
+        ild[~np.isfinite(ild)] = 0.0
+        mask = localization._glimpse_mask(coherence)
+        bands.append((phase[mask], ild[mask]))
+    return bands
+
+
+def test_extract_cues_equals_the_full_band_statistics(hrir_set):
+    """The phase and the ILD are computed at the glimpses only, with the
+    values that computing them at every sample gives there."""
+    # An interaural level difference beyond the double range: the right
+    # ear's power underflows to 0, so every glimpse's ILD is non-finite.
+    extreme = _render(hrir_set, 40.0, seed=3)
+    extreme.samples[0] *= 1e140
+    extreme.samples[1] *= 1e-165
+    for buf in (_render(hrir_set, -60.0), _render(hrir_set, 0.0, seed=2),
+                extreme):
+        got = extract_cues(buf)
+        want = _full_band_cues(buf)
+        assert sum(len(band.statistic) for band in got) > 0
+        for band, (phase, ild) in zip(got, want, strict=True):
+            assert np.array_equal(band.statistic, phase)
+            assert np.array_equal(band.ild_db, ild)
 
 
 def test_extract_cues_requires_two_channels():
