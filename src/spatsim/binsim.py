@@ -71,12 +71,6 @@ class RenderOutput:
     noise_only: AudioBuffer
     channels: tuple
 
-    @property
-    def mixture(self) -> AudioBuffer:
-        """The target and noise stems summed samplewise."""
-        return AudioBuffer(self.target_only.sample_rate,
-                           self.target_only.samples + self.noise_only.samples)
-
 
 class ReceiverBank:
     """Speaker-to-listener IRs of one array, HRIR set and listener offset.
@@ -149,45 +143,35 @@ def render_reference(source: VirtualSource, hrir_set: HrirSet,
     return AudioBuffer(sample_rate=hrir_set.sample_rate, samples=out)
 
 
-def _render_any(method, bank, source, hrir_set, listener, channels):
-    if method is None:
-        return render_reference(source, hrir_set, listener, channels)
-    return render_source(method, bank, source)
-
-
 def _zero_pad(x: np.ndarray, n: int) -> np.ndarray:
     """`x` with zeros appended along the last axis up to length `n`."""
     return np.pad(x, ((0, 0), (0, max(0, n - x.shape[1]))))
 
 
-def render_scene_stems(scene: SceneSpec, method: ReproductionMethod | None,
-                       bank: ReceiverBank | None, hrir_set: HrirSet,
-                       listener: Position2D, channels: tuple) -> RenderOutput:
-    """Uncalibrated stems over `channels` plus the calibration channel.
+def render_scene_stems(scene: SceneSpec, render,
+                       channels: tuple) -> RenderOutput:
+    """Uncalibrated target and noise stems over `channels`, which must hold
+    the calibration channel.
 
-    `method=None` renders free field (no bank); otherwise the sources go
-    through `bank`, which must hold those channels, and only they are
-    rendered. Rendering is linear, so SNR variants can rescale the noise
-    stem without re-rendering (see noise_scale).
+    `render(source)` renders one source over `channels`: `render_source`
+    through a bank over them, or `render_reference` in free field.
+    Rendering is linear, so SNR variants can rescale the noise stem without
+    re-rendering (see noise_scale).
     """
     channels = tuple(channels)
     if CALIBRATION_CHANNEL not in channels:
-        channels += (CALIBRATION_CHANNEL,)
-    if method is not None:
-        bank = bank.select(channels)
-
-    t = _render_any(method, bank, scene.target, hrir_set, listener,
-                    channels).samples
+        raise ValueError(f"stems need the channel {CALIBRATION_CHANNEL!r}")
+    target = render(scene.target)
+    t = target.samples
     # Each noise part is added as soon as it is rendered, so that only one
     # is held at a time; the sum grows to the longest part.
     n = np.zeros((len(channels), 0))
     for src in scene.noises:
-        part = _render_any(method, bank, src, hrir_set, listener,
-                           channels).samples
+        part = render(src).samples
         n = _zero_pad(n, part.shape[1])
         n[:, :part.shape[1]] += part
     n_len = max(t.shape[1], n.shape[1])
-    rate = hrir_set.sample_rate
+    rate = target.sample_rate
     return RenderOutput(target_only=AudioBuffer(rate, _zero_pad(t, n_len)),
                         noise_only=AudioBuffer(rate, _zero_pad(n, n_len)),
                         channels=channels)

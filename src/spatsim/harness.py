@@ -96,6 +96,11 @@ class SweepConfig:
                 object.__setattr__(self, f.name, float(value))
             elif f.type == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        # A band above the Nyquist frequency has no bins: its error reads 0.
+        if not self.band_min < self.band_max <= self.sample_rate / 2:
+            raise ValueError(f"need band_min < band_max <= sample_rate / 2, "
+                             f"not {self.band_min:g}, {self.band_max:g}, "
+                             f"{self.sample_rate}")
 
     @classmethod
     def desk_scale(cls, **overrides) -> "SweepConfig":
@@ -318,7 +323,8 @@ class _Sweep:
     """Everything the units of a sweep share, built once before the workers
     fork, and only what the configured metrics use: the MVDR design, the
     algorithms, the cue lookup, the scene, the PLE probe and its free-field
-    renders per pose.
+    renders per pose. `unit` measures a pose's free-field reference and a
+    cell by one body per metric.
 
     A cell's bank holds the set's channels, so a set restricted to
     `receiver_channels(config)` (as `run_sweep` passes it) gives banks over
@@ -403,54 +409,62 @@ class _Sweep:
         the free-field reference at the pose, by (metric, algorithm), in
         plain numpy values: the beam pattern, the SNR improvement per
         algorithm, the fine azimuth per PLE target (NaN for none), and for
-        a cell its mean spectral distance from the free-field renders."""
+        a cell its mean spectral distance from the free-field renders. The
+        top decides what the two differ in: the beam pattern's method and
+        bank, the render of one source and the probe renders."""
         config, hrir_set = self.config, self.hrir_set
         listener = self.poses[pose_offset]
-        method = bank = None
-        if method_name is not None:
+        refs = self.ref_renders.get(pose_offset, ())
+        if method_name is None:
+            # The free-field pattern: NSP on a ring with a speaker on every
+            # probe azimuth, which renders each probe as its own loudspeaker.
+            method, bank = ReproductionMethod.NSP, None
+            if self.pattern_algorithm is not None:
+                bank = ReceiverBank(
+                    build_array(len(PATTERN_AZIMUTHS),
+                                radius=hrir_set.distance),
+                    hrir_set, listener, self.pattern_algorithm.channels)
+
+            def renderer(channels):
+                return functools.partial(render_reference, hrir_set=hrir_set,
+                                         listener=listener, channels=channels)
+            # Spectral distance is a cell's distance from these renders.
+            probes, spectral = refs, False
+        else:
             method = ReproductionMethod(method_name)
             # One bank over the set's channels for every metric of the
             # cell; each renders only its own channels of it.
             bank = ReceiverBank(build_array(count, radius=config.array_radius),
                                 hrir_set, listener, hrir_set.channels)
+
+            def renderer(channels):
+                return functools.partial(render_source, method,
+                                         bank.select(channels))
+            # Rendered one at a time, as the probe loop asks for them.
+            probes = (map(renderer(self.probe_channels),
+                          map(self._probe_source, PLE_TARGET_AZIMUTHS))
+                      if refs else ())
+            spectral = "spectral" in config.metrics
         out = {}
         if self.pattern_algorithm is not None:
-            # Free field: NSP on a ring with a speaker on every probe
-            # azimuth, which renders each probe as its own loudspeaker.
-            pattern_method, pattern_bank = method, bank
-            if method is None:
-                pattern_method = ReproductionMethod.NSP
-                pattern_bank = ReceiverBank(
-                    build_array(len(PATTERN_AZIMUTHS),
-                                radius=hrir_set.distance),
-                    hrir_set, listener, self.pattern_algorithm.channels)
             out["beam", None] = beam_pattern(
-                self.pattern_algorithm, pattern_method, pattern_bank,
-                self.grid, probe_duration=config.pattern_probe_duration,
-                seed=config.seed)
+                self.pattern_algorithm, method, bank, self.grid,
+                probe_duration=config.pattern_probe_duration, seed=config.seed)
         if self.scene is not None:
-            stems = render_scene_stems(self.scene, method, bank, hrir_set,
-                                       listener, self.snr_channels)
+            stems = render_scene_stems(self.scene, renderer(self.snr_channels),
+                                       self.snr_channels)
             for name, alg in self.algorithms.items():
                 out["snr", name] = snr_improvement(
                     alg, stems, self.grid, input_snrs=config.input_snrs)
-        refs = self.ref_renders.get(pose_offset, ())
-        if refs and bank is not None:
-            bank = bank.select(self.probe_channels)
-        ple = "ple" in config.metrics
-        spectral = "spectral" in config.metrics and method is not None
         row = self.probe_channels.index(SPECTRAL_CHANNEL) if spectral else None
         azimuths, distances = [], []
-        for az, ref in zip(PLE_TARGET_AZIMUTHS, refs):
-            buf = ref
-            if method is not None:
-                buf = render_source(method, bank, self._probe_source(az))
-            if ple:
+        for ref, buf in zip(refs, probes):
+            if self.lookup is not None:
                 azimuths.append(localize(buf, self.lookup).fine_azimuth)
             if spectral:
                 distances.append(spectral_distance(
                     ref.samples[row], buf.samples[row], buf.sample_rate))
-        if ple:
+        if self.lookup is not None:
             out["ple", None] = np.array(azimuths, dtype=float)
         if spectral:
             out["spectral", None] = float(np.mean(distances))

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
-from spatsim.binsim import VirtualSource, render_reference, render_source
+from spatsim.binsim import (VirtualSource, render_reference,
+                            render_scene_stems, render_source)
 from spatsim.geometry import Position2D
 from spatsim.haalgo import design_mvdr
 from spatsim.hrir import synth_sphere_hrir
@@ -23,6 +26,14 @@ def mvdr_design(hrir_set):
 @pytest.fixture(scope="session")
 def band_grid():
     return make_third_octave_grid()
+
+
+def free_field_stems(scene, hrir_set, channels):
+    """`render_scene_stems` in free field at the array centre: each source
+    through `render_reference`."""
+    return render_scene_stems(scene, functools.partial(
+        render_reference, hrir_set=hrir_set, listener=Position2D(0.0, 0.0),
+        channels=channels), channels)
 
 
 def beam_pattern_per_azimuth(algorithm, method, bank, hrir_set, pose, grid,

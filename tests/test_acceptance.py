@@ -5,6 +5,7 @@ output capture) and then asserts it, so a full run always shows the verdict
 of every criterion.
 """
 
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -12,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spatsim.binsim import (AudioBuffer, ReceiverBank, RenderOutput,
-                            VirtualSource, SceneSpec, noise_scale,
-                            render_reference, render_scene_stems,
+from spatsim.binsim import (CALIBRATION_CHANNEL, AudioBuffer, ReceiverBank,
+                            RenderOutput, VirtualSource, SceneSpec,
+                            noise_scale, render_reference, render_scene_stems,
                             render_source)
 from spatsim.geometry import Position2D, build_array
 from spatsim.haalgo import MvdrCoreBeamformer
@@ -30,7 +31,7 @@ from spatsim.panner import (ReproductionMethod, aliasing_limit, hoa_kernel,
                             hoa_weights, vbap_weights)
 from spatsim.signals import make_default_scene, speech_shaped_noise
 
-from conftest import beam_pattern_per_azimuth
+from conftest import beam_pattern_per_azimuth, free_field_stems
 
 RATE = 48000
 CENTER = Position2D(0.0, 0.0)
@@ -96,10 +97,11 @@ def identity_data(hrir_set, mvdr_design, lookup):
                       Position2D.from_polar(az, 3.0))
         for i, az in enumerate((40.0, 115.0, 220.0, 305.0)))
     scene = SceneSpec(target=target, noises=noises)
-    stems_ref = render_scene_stems(scene, None, None, hrir_set, CENTER,
-                                   CHANNELS_BEAMFORMER)
-    stems_nsp = render_scene_stems(scene, ReproductionMethod.NSP, bank,
-                                   hrir_set, CENTER, CHANNELS_BEAMFORMER)
+    channels = CHANNELS_BEAMFORMER + (CALIBRATION_CHANNEL,)
+    stems_ref = free_field_stems(scene, hrir_set, channels)
+    stems_nsp = render_scene_stems(scene, functools.partial(
+        render_source, ReproductionMethod.NSP, bank.select(channels)),
+        channels)
     snr_err = 0.0
     for name, alg in _make_algorithms(hrir_set, ALGORITHM_NAMES).items():
         ref = snr_improvement(alg, stems_ref, GRID, input_snrs=(0.0,))
@@ -393,8 +395,8 @@ def test_criterion_5_ordering_claims(beam_center, beam_off, adm_sweeps):
 @pytest.fixture(scope="module")
 def freefield_stems(hrir_set):
     scene = make_default_scene(8.0, RATE)
-    return render_scene_stems(scene, None, None, hrir_set, CENTER,
-                              CHANNELS_BEAMFORMER)
+    return free_field_stems(scene, hrir_set,
+                            CHANNELS_BEAMFORMER + (CALIBRATION_CHANNEL,))
 
 
 def test_criterion_6_freefield_benefits(hrir_set, mvdr_design,
@@ -431,8 +433,8 @@ def test_criterion_6_freefield_benefits(hrir_set, mvdr_design,
 
 def test_criterion_7_shadow_additivity(hrir_set):
     scene = make_default_scene(1.0, RATE, n_noise=4, seed=77)
-    stems = render_scene_stems(scene, None, None, hrir_set, CENTER,
-                               CHANNELS_BEAMFORMER)
+    stems = free_field_stems(scene, hrir_set,
+                             CHANNELS_BEAMFORMER + (CALIBRATION_CHANNEL,))
     worst = 0.0
     # Stems at 0 dB input SNR: the noise stem rescaled.
     noise = stems.noise_only.samples * noise_scale(stems, 0.0)

@@ -6,15 +6,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scipy.signal import fftconvolve
 
-from spatsim.binsim import (AudioBuffer, ReceiverBank, SceneSpec,
-                            VirtualSource, _delayed_len, noise_scale,
-                            render_reference, render_scene_stems,
+from spatsim.binsim import (CALIBRATION_CHANNEL, AudioBuffer, ReceiverBank,
+                            SceneSpec, VirtualSource, _delayed_len,
+                            noise_scale, render_reference, render_scene_stems,
                             render_source)
 from spatsim.dsp import delay_signal
 from spatsim.geometry import Position2D, build_array
 from spatsim.hrir import CHANNELS, CHANNELS_LOCALIZATION
 from spatsim.panner import SPEED_OF_SOUND, ReproductionMethod, method_weights
 from spatsim.signals import speech_shaped_noise, white_noise
+
+from conftest import free_field_stems
 
 RATE = 48000
 CENTER = Position2D(0.0, 0.0)
@@ -218,11 +220,7 @@ def _tiny_scene(duration=0.25, n_noise=2):
 
 
 def test_mix_scene_additivity_and_calibration(hrir_set):
-    out = render_scene_stems(_tiny_scene(), None, None, hrir_set, CENTER,
-                             CHANNELS_LOCALIZATION)
-    s = out.mixture.samples
-    resid = s - (out.target_only.samples + out.noise_only.samples)
-    assert np.abs(resid).max() < 1e-6 * np.abs(s).max()
+    out = free_field_stems(_tiny_scene(), hrir_set, CHANNELS_LOCALIZATION)
     cal = out.channels.index("in_ear_L")
     noise = out.noise_only.samples * noise_scale(out, 0.0)
     snr = 10.0 * np.log10(np.mean(out.target_only.samples[cal] ** 2)
@@ -230,24 +228,34 @@ def test_mix_scene_additivity_and_calibration(hrir_set):
     assert snr == pytest.approx(0.0, abs=0.01)
 
 
-def test_scene_stems_sum_the_source_renders(hrir_set):
+@pytest.mark.parametrize("free_field", [False, True],
+                         ids=["vbap", "free_field"])
+def test_scene_stems_sum_the_source_renders(hrir_set, free_field):
     scene = _tiny_scene(n_noise=3)
+    # Noise parts of unequal lengths, so that their sum grows to the
+    # longest in free field too.
+    scene = SceneSpec(scene.target, tuple(
+        VirtualSource(src.signal[:len(src.signal) - 100 * i], src.position)
+        for i, src in enumerate(scene.noises)))
     pose = Position2D(0.0, 0.1)
-    bank = ReceiverBank(build_array(8, 3.0), hrir_set, pose, CHANNELS)
-    stems = render_scene_stems(scene, ReproductionMethod.VBAP, bank,
-                               hrir_set, pose, ("in_ear_R",))
-    own = bank.select(("in_ear_R", "in_ear_L"))
-    target = render_source(ReproductionMethod.VBAP, own, scene.target).samples
-    parts = [render_source(ReproductionMethod.VBAP, own, src).samples
-             for src in scene.noises]
+    channels = ("in_ear_R", CALIBRATION_CHANNEL)
+    if free_field:
+        render = functools.partial(render_reference, hrir_set=hrir_set,
+                                   listener=pose, channels=channels)
+    else:
+        bank = ReceiverBank(build_array(8, 3.0), hrir_set, pose, CHANNELS)
+        render = functools.partial(render_source, ReproductionMethod.VBAP,
+                                   bank.select(channels))
+    stems = render_scene_stems(scene, render, channels)
+    target = render(scene.target).samples
+    parts = [render(src).samples for src in scene.noises]
     n_len = max(p.shape[1] for p in [target] + parts)
     assert len({p.shape[1] for p in [target] + parts}) > 1
     noise = np.zeros((2, n_len))
     for part in parts:
         noise[:, :part.shape[1]] += part
-    # The calibration channel is rendered after the requested one, and
-    # the noise scale reads its row.
-    assert stems.channels == ("in_ear_R", "in_ear_L")
+    # The noise scale reads the calibration channel's row.
+    assert stems.channels == channels
     target = np.pad(target, ((0, 0), (0, n_len - target.shape[1])))
     assert np.array_equal(stems.target_only.samples, target)
     assert np.array_equal(stems.noise_only.samples, noise)
@@ -255,16 +263,22 @@ def test_scene_stems_sum_the_source_renders(hrir_set):
                                               / float(np.mean(noise[1] ** 2)))
 
 
+def test_scene_stems_need_the_calibration_channel(hrir_set):
+    render = functools.partial(render_reference, hrir_set=hrir_set,
+                               listener=CENTER, channels=("in_ear_R",))
+    with pytest.raises(ValueError, match=CALIBRATION_CHANNEL):
+        render_scene_stems(_tiny_scene(), render, ("in_ear_R",))
+
+
 def test_calibrate_stems_scaling(hrir_set):
-    stems = render_scene_stems(_tiny_scene(), None, None, hrir_set, CENTER,
-                               CHANNELS_LOCALIZATION)
+    stems = free_field_stems(_tiny_scene(), hrir_set, CHANNELS_LOCALIZATION)
     ratio = noise_scale(stems, 20.0) / noise_scale(stems, 0.0)
     assert ratio == pytest.approx(10.0 ** (-1.0), rel=1e-9)
 
 
 def test_calibrate_rejects_silent_stem(hrir_set):
-    stems = render_scene_stems(_tiny_scene(n_noise=0), None, None, hrir_set,
-                               CENTER, CHANNELS_LOCALIZATION)
+    stems = free_field_stems(_tiny_scene(n_noise=0), hrir_set,
+                             CHANNELS_LOCALIZATION)
     with pytest.raises(ValueError):
         noise_scale(stems, 0.0)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spatsim.binsim import (AudioBuffer, RenderOutput, VirtualSource,
-                            render_reference, render_scene_stems)
+from spatsim.binsim import (CALIBRATION_CHANNEL, AudioBuffer, RenderOutput,
+                            VirtualSource, render_reference)
 from spatsim.geometry import Position2D
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
@@ -14,6 +14,8 @@ from spatsim.hrir import (CHANNELS, CHANNELS_ADM, CHANNELS_BEAMFORMER,
 from spatsim.metrics import snr_improvement
 from spatsim.signals import make_default_scene, speech_shaped_noise, white_noise
 from spatsim.stft import StftProcessor
+
+from conftest import free_field_stems
 
 RATE = 48000
 CENTER = Position2D(0.0, 0.0)
@@ -290,8 +292,8 @@ def test_scnr_requires_oracle():
 @pytest.fixture(scope="module")
 def scene_stems(hrir_set):
     scene = make_default_scene(0.5, RATE, n_noise=4, seed=77)
-    return render_scene_stems(scene, None, None, hrir_set, CENTER,
-                              CHANNELS_BEAMFORMER)
+    return free_field_stems(scene, hrir_set,
+                            CHANNELS_BEAMFORMER + (CALIBRATION_CHANNEL,))
 
 
 def _additivity(shadow):
@@ -345,7 +347,8 @@ def test_coherence_nr_ignores_round_off_before_the_onset(scene_stems,
     # Only the algorithm's two rows get the round-off; the calibration
     # channel, and so the noise scale of each input SNR, stays as it was.
     rows = [scene_stems.channels.index(c) for c in CHANNELS_BINAURAL_NR]
-    assert np.all(scene_stems.mixture.samples[rows, :380] == 0.0)
+    assert np.all(scene_stems.target_only.samples[rows, :380] == 0.0)
+    assert np.all(scene_stems.noise_only.samples[rows, :380] == 0.0)
     rng = np.random.default_rng(5)
 
     def with_round_off(start):

@@ -103,6 +103,21 @@ def test_config_rejects_non_integer_speaker_counts(tmp_path):
             SweepConfig.from_yaml(path)
 
 
+@pytest.mark.parametrize("fields", [
+    # Bands above the Nyquist frequency have no bins, and their errors
+    # would read 0 dB, a pass.
+    {"sample_rate": 8000},
+    # An empty grid, on which band_grid() raised an IndexError.
+    {"band_min": 9000.0},
+    {"band_min": 1000.0, "band_max": 1000.0},
+    {"sample_rate": 16000, "band_max": 8001.0},
+])
+def test_config_rejects_bands_the_rate_cannot_measure(fields):
+    with pytest.raises(ValueError, match="band_min < band_max <= "
+                                         "sample_rate / 2"):
+        SweepConfig.desk_scale(**fields)
+
+
 def test_config_poses_are_lateral_offsets():
     assert SweepConfig(pose_offsets=(0.0, 0.5)).poses() == [
         Position2D(0.0, 0.0), Position2D(0.0, 0.5)]
@@ -394,12 +409,14 @@ def test_algorithms_run_at_the_sweep_sample_rate():
 def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     """A cell's unit renders every metric through one bank; its raw
     measurements equal those of banks built for each metric's own
-    channels."""
+    channels. The reference unit's equal those measured directly in free
+    field: the probe ring's pattern, the SNR of `render_reference` stems
+    and the localization of the free-field probe renders."""
+    _small_ple(monkeypatch)
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
-        algorithms=("adm", "single_nr"), metrics=("beam", "snr", "spectral"),
-        input_snrs=(-5.0, 5.0), scene_duration=0.5, n_noise_sources=3,
-        pattern_probe_duration=0.1)
+        algorithms=("adm", "single_nr"), input_snrs=(-5.0, 5.0),
+        scene_duration=0.5, n_noise_sources=3, pattern_probe_duration=0.1)
     pose = config.poses()[0]
     grid = config.band_grid()
     sweep = harness._Sweep(config, hrir_set)
@@ -412,12 +429,13 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
         built.append(tuple(channels))
         real_init(self, array, hs, ps, channels)
 
-    monkeypatch.setattr(harness.ReceiverBank, "__init__", counting_init)
-    test = sweep.unit("vbap", 6, 0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.ReceiverBank, "__init__", counting_init)
+        test = sweep.unit("vbap", 6, 0.5)
     assert built == [hrir_set.channels]
-    monkeypatch.undo()
     assert list(test) == harness._surface_keys(config)
-    assert list(ref) == [("beam", None), ("snr", "adm"), ("snr", "single_nr")]
+    assert list(ref) == [("beam", None), ("snr", "adm"), ("snr", "single_nr"),
+                         ("ple", None)]
 
     method = harness.ReproductionMethod.VBAP
     array = harness.build_array(6, radius=config.array_radius)
@@ -436,22 +454,37 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     # the calibration channel, in set order.
     snr_channels = (CALIBRATION_CHANNEL, "ha_L_front", "ha_L_rear")
     assert sweep.snr_channels == snr_channels
-    stems = harness.render_scene_stems(
-        sweep.scene, method, ReceiverBank(array, hrir_set, pose, snr_channels),
-        hrir_set, pose, snr_channels)
-    for name, alg in sweep.algorithms.items():
-        delta = harness.snr_improvement(alg, stems, grid,
-                                        input_snrs=config.input_snrs)
-        assert np.array_equal(test["snr", name], delta, equal_nan=True)
+    snr_bank = ReceiverBank(array, hrir_set, pose, snr_channels)
+    renders = {
+        "cell": (test, functools.partial(render_source, method, snr_bank)),
+        "reference": (ref, functools.partial(
+            harness.render_reference, hrir_set=hrir_set, listener=pose,
+            channels=snr_channels)),
+    }
+    for unit, (measured, render) in renders.items():
+        stems = harness.render_scene_stems(sweep.scene, render, snr_channels)
+        for name, alg in sweep.algorithms.items():
+            delta = harness.snr_improvement(alg, stems, grid,
+                                            input_snrs=config.input_snrs)
+            assert np.array_equal(measured["snr", name], delta,
+                                  equal_nan=True), (unit, name)
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
+    azimuths = {"cell": [], "reference": []}
     distances = []
     for az, ref_buf in zip(harness.PLE_TARGET_AZIMUTHS,
                            sweep.ref_renders[0.5]):
         src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
         buf = render_source(method, ear_bank, src)
+        for unit, rendered in (("cell", buf), ("reference", ref_buf)):
+            azimuths[unit].append(
+                harness.localize(rendered, sweep.lookup).fine_azimuth)
         distances.append(harness.spectral_distance(
             ref_buf.samples[0], buf.samples[0], buf.sample_rate))
+    for unit, (measured, _) in renders.items():
+        assert np.array_equal(measured["ple", None],
+                              np.array(azimuths[unit], dtype=float),
+                              equal_nan=True), unit
     assert test["spectral", None] == float(np.mean(distances))
 
 
@@ -704,26 +737,18 @@ def _setup_calls(monkeypatch, stage, call):
 
 @pytest.mark.parametrize("stage", ["reference", "lookup", "scene", "probes"])
 def test_reference_failure_aborts_the_sweep(hrir_set, monkeypatch, stage):
-    real_stems = harness.render_scene_stems
-
-    def failing_stems(scene, method, *args):
-        if method is None:
-            raise RuntimeError("no free-field stems")
-        return real_stems(scene, method, *args)
-
-    def failing_setup():
+    def failing_setup(*args, **kwargs):
         raise RuntimeError(f"no {stage} in process {os.getpid()}")
 
     if stage == "reference":
-        config, message = QUICK, "no free-field stems"
-        monkeypatch.setattr(harness, "render_scene_stems", failing_stems)
+        # An SNR-only sweep renders free field only in its reference unit.
+        config = QUICK
+        monkeypatch.setattr(harness, "render_reference", failing_setup)
     else:
         config = _setup_calls(monkeypatch, stage, failing_setup)
-        message = f"no {stage} in process"
-    with pytest.raises(RuntimeError, match=message) as raised:
+    with pytest.raises(RuntimeError, match=f"no {stage} in process") as raised:
         run_sweep(config, hrir_set=hrir_set, workers=2)
-    if stage != "reference":
-        assert int(str(raised.value).split()[-1]) != os.getpid()
+    assert int(str(raised.value).split()[-1]) != os.getpid()
     assert harness._WORKER_CALL is None
 
 

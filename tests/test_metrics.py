@@ -3,8 +3,7 @@ import pytest
 
 import spatsim.metrics as metrics
 from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
-from spatsim.binsim import (ReceiverBank, SceneSpec, VirtualSource,
-                            noise_scale, render_scene_stems)
+from spatsim.binsim import ReceiverBank, SceneSpec, VirtualSource, noise_scale
 from spatsim.geometry import Position2D, build_array
 from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             MvdrBeamformer, MvdrCoreBeamformer,
@@ -20,7 +19,7 @@ from spatsim.panner import ReproductionMethod
 from spatsim.signals import (make_default_scene, speech_shaped_noise,
                              white_noise)
 
-from conftest import beam_pattern_per_azimuth
+from conftest import beam_pattern_per_azimuth, free_field_stems
 
 RATE = 48000
 CENTER = Position2D(0.0, 0.0)
@@ -222,8 +221,7 @@ def _stems(duration=0.25, n_noise=2):
 def test_lti_algorithm_has_zero_snr_improvement(hrir_set):
     # A constant-gain algorithm cannot change any band SNR, at any input SNR.
     _, scene = _stems()
-    stems = render_scene_stems(scene, None, None, hrir_set, CENTER,
-                               ("in_ear_L", "in_ear_R"))
+    stems = free_field_stems(scene, hrir_set, ("in_ear_L", "in_ear_R"))
     grid = make_third_octave_grid(100.0, 8000.0)
     delta = snr_improvement(_Gain(0.5), stems, grid, input_snrs=(0.0, 10.0))
     assert np.nanmax(np.abs(delta)) < 0.05
@@ -272,8 +270,8 @@ def test_snr_improvement_matches_per_snr_path(hrir_set, mvdr_design):
     # Transforming the stems once and rescaling the noise STFT gives the
     # surfaces of calibrating and analysing per SNR, to round-off.
     scene = make_default_scene(0.5, RATE, n_noise=4, seed=77)
-    stems = render_scene_stems(scene, None, None, hrir_set, CENTER,
-                               CHANNELS_BEAMFORMER + _Gain.channels)
+    stems = free_field_stems(scene, hrir_set,
+                             CHANNELS_BEAMFORMER + _Gain.channels)
     grid = make_third_octave_grid(100.0, 8000.0)
     algorithms = (MvdrBeamformer(mvdr_design),
                   AdaptiveDifferentialMic(mic_spacing=0.01),
