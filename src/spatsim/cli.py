@@ -16,7 +16,8 @@ from .binsim import ReceiverBank, VirtualSource, render_reference, render_source
 from .geometry import Position2D, build_array
 from .harness import (SweepConfig, contour_extract, criterion,
                       load_surfaces_csv, report, run_sweep, write_manifest,
-                      write_surfaces_csv, _make_algorithms)
+                      write_surfaces_csv, _ALGORITHM_CHANNELS,
+                      _make_algorithms)
 from .hrir import (CHANNELS, DEFAULT_HEAD_RADIUS, DEFAULT_SAMPLE_RATE,
                    save_hrir_set, synth_sphere_hrir)
 from .panner import ReproductionMethod
@@ -38,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes that calibrate the cue lookup and "
-                        "measure the cells (default: the CPUs available, "
-                        "or 1 without the fork start method); 1 runs them "
-                        "in this process")
+                   help="processes that calibrate the cue lookup, "
+                        "synthesize the scene and measure the units "
+                        "(default: the CPUs available, or 1 without the "
+                        "fork start method); 1 runs them in this process")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("contour", help="extract a criterion contour from a "
@@ -166,15 +167,12 @@ def _cmd_synth_hrir(args) -> int:
 def _cmd_render(args) -> int:
     from scipy.io import wavfile
 
-    hrir_set = synth_sphere_hrir(distance=args.distance)
+    # Only the rendered channels are synthesized: the algorithm's, if any.
+    channels = _ALGORITHM_CHANNELS.get(args.algorithm, tuple(args.channels))
+    hrir_set = synth_sphere_hrir(distance=args.distance, channels=channels)
     listener = Position2D(0.0, args.pose)
     signal = synthetic_speech(args.duration, hrir_set.sample_rate,
                               seed=args.seed)
-    channels = tuple(args.channels)
-    algorithm = None
-    if args.algorithm is not None:
-        algorithm = _make_algorithms(hrir_set, [args.algorithm])[args.algorithm]
-        channels = algorithm.channels
     source = VirtualSource(signal, Position2D.from_polar(args.azimuth,
                                                          args.distance))
     if args.method == "reference":
@@ -183,7 +181,8 @@ def _cmd_render(args) -> int:
         array = build_array(args.count, radius=args.distance)
         bank = ReceiverBank(array, hrir_set, listener, channels)
         buf = render_source(ReproductionMethod(args.method), bank, source)
-    if algorithm is not None:
+    names = [args.algorithm] if args.algorithm is not None else []
+    for algorithm in _make_algorithms(hrir_set, names).values():
         buf = algorithm.process(buf)
     peak = np.abs(buf.samples).max()
     scale = 0.9 / peak if peak > 0 else 1.0

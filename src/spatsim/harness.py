@@ -101,6 +101,8 @@ class SweepConfig:
             raise ValueError(f"need band_min < band_max <= sample_rate / 2, "
                              f"not {self.band_min:g}, {self.band_max:g}, "
                              f"{self.sample_rate}")
+        # A range that holds no third-octave centre has no band.
+        self.band_grid()
 
     @classmethod
     def desk_scale(cls, **overrides) -> "SweepConfig":
@@ -259,13 +261,13 @@ def receiver_channels(config: SweepConfig) -> tuple:
 
 
 def _load_hrirs(config: SweepConfig) -> HrirSet:
-    """The sweep's HRIR set over only `receiver_channels(config)`; the
-    full set is dropped as soon as it is synthesized or loaded."""
+    """The sweep's HRIR set over only `receiver_channels(config)`, which the
+    sphere model synthesizes alone; a loaded set is dropped once cut."""
     channels = receiver_channels(config)
     if config.hrir_source == "sphere":
-        return synth_sphere_hrir(sample_rate=config.sample_rate,
-                                 head_radius=config.head_radius,
-                                 distance=config.array_radius).select(channels)
+        return synth_sphere_hrir(
+            sample_rate=config.sample_rate, head_radius=config.head_radius,
+            distance=config.array_radius, channels=channels)
     hrir_set = load_hrir_set(config.hrir_source)
     if hrir_set.sample_rate != config.sample_rate:
         raise ValueError(f"HRIR set at {hrir_set.sample_rate} Hz, sweep at "
@@ -319,24 +321,27 @@ _ERRORS = {
 }
 
 
+class _FreeFieldFailed(Exception):
+    """A free-field render raised inside a cell; its cause is the error."""
+
+
 class _Sweep:
     """Everything the units of a sweep share, built once before the workers
     fork, and only what the configured metrics use: the MVDR design, the
-    algorithms, the cue lookup, the scene, the PLE probe and its free-field
-    renders per pose. `unit` measures a pose's free-field reference and a
+    algorithms, the cue lookup, the scene and the PLE probe signal, but no
+    rendered audio. `unit` measures a pose's free-field reference and a
     cell by one body per metric.
 
     A cell's bank holds the set's channels, so a set restricted to
     `receiver_channels(config)` (as `run_sweep` passes it) gives banks over
-    only the channels the metrics read. The free-field probe renders hold
-    only the channels that PLE (both in-ear channels) and spectral distance
+    only the channels the metrics read. The probe renders hold only the
+    channels that PLE (both in-ear channels) and spectral distance
     (`in_ear_L`) read.
 
     `map(call, args)` runs the set-up's parallel parts in argument order:
-    the cue lookup's columns, the scene's source signals and the free-field
-    probe renders, one (pose offset, azimuth) per call. A pool's map may run
-    them in other processes, forked with this object's state; only the
-    arguments and the results cross the pipe.
+    the cue lookup's columns and the scene's source signals. A pool's map
+    may run them in other processes, forked with this object's state; only
+    the arguments and the results cross the pipe.
 
     A failed MVDR design is recorded in `failures`; the surfaces that need
     it then stay NaN.
@@ -379,29 +384,11 @@ class _Sweep:
             self.scene = make_default_scene(
                 config.scene_duration, config.sample_rate,
                 n_noise=config.n_noise_sources, seed=config.seed, map=map)
-        self.ref_renders = {}
         self.probe_channels = _channels_read(
             [m for m in metrics if m in ("ple", "spectral")])
         if self.probe_channels:
             self.probe = speech_shaped_noise(1.0, config.sample_rate,
                                              seed=config.seed + 1)
-            jobs = [(offset, az) for offset in config.pose_offsets
-                    for az in PLE_TARGET_AZIMUTHS]
-            renders = iter(map(self._reference_render, jobs))
-            self.ref_renders = {
-                offset: [next(renders) for _ in PLE_TARGET_AZIMUTHS]
-                for offset in config.pose_offsets}
-
-    def _probe_source(self, azimuth: float) -> VirtualSource:
-        return VirtualSource(self.probe, Position2D.from_polar(
-            azimuth, self.config.array_radius))
-
-    def _reference_render(self, job: tuple):
-        """The free-field render of the PLE probe from one target azimuth
-        at one pose, `job` = (pose offset, azimuth)."""
-        offset, azimuth = job
-        return render_reference(self._probe_source(azimuth), self.hrir_set,
-                                self.poses[offset], self.probe_channels)
 
     def unit(self, method_name: str | None, count: int | None,
              pose_offset: float) -> dict:
@@ -411,10 +398,16 @@ class _Sweep:
         algorithm, the fine azimuth per PLE target (NaN for none), and for
         a cell its mean spectral distance from the free-field renders. The
         top decides what the two differ in: the beam pattern's method and
-        bank, the render of one source and the probe renders."""
+        bank, the render of one source and the probes to render. Each probe
+        is rendered over `probe_channels` when the loop reaches it (for the
+        reference, only for PLE); a cell also renders each target's
+        free-field probe over `SPECTRAL_CHANNEL` for spectral distance."""
         config, hrir_set = self.config, self.hrir_set
         listener = self.poses[pose_offset]
-        refs = self.ref_renders.get(pose_offset, ())
+
+        def free_field(channels):
+            return functools.partial(render_reference, hrir_set=hrir_set,
+                                     listener=listener, channels=channels)
         if method_name is None:
             # The free-field pattern: NSP on a ring with a speaker on every
             # probe azimuth, which renders each probe as its own loudspeaker.
@@ -424,12 +417,9 @@ class _Sweep:
                     build_array(len(PATTERN_AZIMUTHS),
                                 radius=hrir_set.distance),
                     hrir_set, listener, self.pattern_algorithm.channels)
-
-            def renderer(channels):
-                return functools.partial(render_reference, hrir_set=hrir_set,
-                                         listener=listener, channels=channels)
-            # Spectral distance is a cell's distance from these renders.
-            probes, spectral = refs, False
+            renderer = free_field
+            # Spectral distance is a cell's distance from the free field.
+            probed, spectral = self.lookup is not None, False
         else:
             method = ReproductionMethod(method_name)
             # One bank over the set's channels for every metric of the
@@ -440,10 +430,7 @@ class _Sweep:
             def renderer(channels):
                 return functools.partial(render_source, method,
                                          bank.select(channels))
-            # Rendered one at a time, as the probe loop asks for them.
-            probes = (map(renderer(self.probe_channels),
-                          map(self._probe_source, PLE_TARGET_AZIMUTHS))
-                      if refs else ())
+            probed = bool(self.probe_channels)
             spectral = "spectral" in config.metrics
         out = {}
         if self.pattern_algorithm is not None:
@@ -458,12 +445,20 @@ class _Sweep:
                     alg, stems, self.grid, input_snrs=config.input_snrs)
         row = self.probe_channels.index(SPECTRAL_CHANNEL) if spectral else None
         azimuths, distances = [], []
-        for ref, buf in zip(refs, probes):
+        render_probe = renderer(self.probe_channels) if probed else None
+        for azimuth in PLE_TARGET_AZIMUTHS if probed else ():
+            source = VirtualSource(self.probe, Position2D.from_polar(
+                azimuth, config.array_radius))
+            buf = render_probe(source)
             if self.lookup is not None:
                 azimuths.append(localize(buf, self.lookup).fine_azimuth)
             if spectral:
+                try:
+                    ref = free_field((SPECTRAL_CHANNEL,))(source)
+                except Exception as error:
+                    raise _FreeFieldFailed from error
                 distances.append(spectral_distance(
-                    ref.samples[row], buf.samples[row], buf.sample_rate))
+                    ref.samples[0], buf.samples[row], buf.sample_rate))
         if self.lookup is not None:
             out["ple", None] = np.array(azimuths, dtype=float)
         if spectral:
@@ -523,10 +518,12 @@ def _pool_map(call, args, workers: int, handed_out=None) -> list:
 
 def _run_unit(sweep: _Sweep, unit: tuple) -> tuple:
     """(measurements, None), or (None, traceback) for a cell that raised.
-    A failed free-field reference raises: no cell of its pose can be
-    compared against it."""
+    A failed free-field render, in the reference or in a cell, raises: no
+    cell of its pose can be compared against it."""
     try:
         return sweep.unit(*unit), None
+    except _FreeFieldFailed as failed:
+        raise failed.__cause__
     except Exception:
         if unit[0] is None:
             raise
@@ -547,26 +544,27 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
               progress=None, workers: int | None = None) -> SweepResult:
     """Evaluate the whole (method x N x pose) grid.
 
-    The HRIR set (`hrir_set`, or the one `config.hrir_source` names) is
-    restricted to `receiver_channels(config)` before anything is built from
-    it: the sweep holds the six BTE channels for beam, each algorithm's
-    channels and `in_ear_L` for SNR, both in-ear channels for PLE and
-    `in_ear_L` for spectral distance. A saved set that lacks one of them
-    fails here, naming the channels and the directory.
+    The HRIR set (`hrir_set`, or the one `config.hrir_source` names, which
+    the sphere model synthesizes over these channels alone) is restricted
+    to `receiver_channels(config)`: the six BTE channels for beam, each
+    algorithm's channels and `in_ear_L` for SNR, both in-ear channels for
+    PLE and `in_ear_L` for spectral distance. A saved set that lacks one of
+    them fails here, naming the channels and the directory.
 
-    Each pose's free-field reference and each cell is one unit of work;
-    `workers` processes (default: `_default_workers()`) measure them,
-    forked after the shared set-up, and the errors are formed here in grid
-    order. The set-up's parallel parts (`_Sweep`: the cue lookup's columns,
-    the scene's source signals, the free-field probe renders) run on such
-    pools too, one pool per part, before the units. Every pool returns its
-    results in argument order, so the result does not depend on `workers`.
+    Each pose's free-field reference and each cell is one unit of work,
+    which renders its own probes; `workers` processes (default:
+    `_default_workers()`) measure them, forked after the shared set-up, and
+    the errors are formed here in grid order. The set-up's parallel parts
+    (`_Sweep`: the cue lookup's columns and the scene's source signals) run
+    on such pools too, one per part, before the units. Every pool returns
+    its results in argument order, so the result does not depend on
+    `workers`.
 
     Deterministic for a given config, which alone decides the surfaces
     (`_surface_keys` per method and pose); cell failures are recorded and
-    leave NaNs in the affected surfaces instead of aborting the run. So
-    does a failed MVDR design, in the beamformer's SNR surfaces and the
-    beam surfaces.
+    leave NaNs in the affected surfaces instead of aborting the run, except
+    a failed free-field render, which aborts it. A failed MVDR design
+    leaves NaNs in the beamformer's SNR surfaces and the beam surfaces.
     """
     if workers is None:
         workers = _default_workers()

@@ -128,8 +128,9 @@ def synth_sphere_hrir(azimuth_grid: np.ndarray | None = None,
                       sample_rate: int = DEFAULT_SAMPLE_RATE,
                       head_radius: float = DEFAULT_HEAD_RADIUS,
                       distance: float = 3.0,
-                      ir_length: int = DEFAULT_IR_LENGTH) -> HrirSet:
-    """Synthesize an HRIR set from the rigid-sphere diffraction model.
+                      ir_length: int = DEFAULT_IR_LENGTH,
+                      channels: tuple = CHANNELS) -> HrirSet:
+    """Synthesize an HRIR set over `channels` from the rigid-sphere model.
 
     IRs carry the measurement-distance propagation delay (distance/c) and are
     normalized to unit free-field magnitude at the sphere center.
@@ -146,20 +147,20 @@ def synth_sphere_hrir(azimuth_grid: np.ndarray | None = None,
 
     freqs = np.fft.rfftfreq(ir_length, 1.0 / sample_rate)
     # One sphere evaluation per distinct incidence angle.
-    pairs = [(az, ch) for az in azimuth_grid for ch in CHANNELS]
+    pairs = [(az, ch) for az in azimuth_grid for ch in channels]
     cosines = np.array([math.cos(math.radians(az - mic_az[ch]))
                         for az, ch in pairs])
     uniq, inverse = np.unique(np.round(cosines, 12), return_inverse=True)
     h_uniq = sphere_transfer(freqs, uniq, head_radius, distance)
 
     delay = np.exp(-2j * np.pi * freqs * distance / SPEED_OF_SOUND)
-    irs = np.empty((len(azimuth_grid), len(CHANNELS), ir_length))
+    irs = np.empty((len(azimuth_grid), len(channels), ir_length))
     for p, (az, ch) in enumerate(pairs):
-        i, j = divmod(p, len(CHANNELS))
+        i, j = divmod(p, len(channels))
         irs[i, j] = np.fft.irfft(h_uniq[inverse[p]] * delay, n=ir_length)
 
     return HrirSet(sample_rate=sample_rate, distance=distance,
-                   azimuths=azimuth_grid, irs=irs,
+                   azimuths=azimuth_grid, irs=irs, channels=tuple(channels),
                    head_radius=head_radius,
                    metadata={"source": "sphere-model",
                              "mic_layout": {

@@ -50,6 +50,8 @@ def make_third_octave_grid(f_min: float = 100.0,
     centers = 1000.0 * 10.0 ** (n / 10.0)
     keep = (centers >= f_min * 0.999) & (centers <= f_max * 1.001)
     centers = centers[keep]
+    if not len(centers):
+        raise ValueError(f"no third-octave centre in {f_min:g}-{f_max:g} Hz")
     edges = np.concatenate([centers * 10.0 ** (-1.0 / 20.0),
                             [centers[-1] * 10.0 ** (1.0 / 20.0)]])
     return BandGrid(centers=centers, edges=edges)

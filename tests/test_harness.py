@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+import spatsim.cli as cli
 from spatsim.cli import main
 from spatsim.haalgo import DesignError
 import spatsim.harness as harness
@@ -116,6 +117,18 @@ def test_config_rejects_bands_the_rate_cannot_measure(fields):
     with pytest.raises(ValueError, match="band_min < band_max <= "
                                          "sample_rate / 2"):
         SweepConfig.desk_scale(**fields)
+
+
+@pytest.mark.parametrize("band_min, band_max", [
+    (1010.0, 1200.0), (101.0, 120.0), (17000.0, 19000.0)])
+def test_config_rejects_a_band_range_without_a_centre(band_min, band_max):
+    """A range that holds no third-octave centre fails when the config is
+    made, naming both bounds, not in `band_grid()` with an IndexError."""
+    message = f"no third-octave centre in {band_min:g}-{band_max:g} Hz"
+    with pytest.raises(ValueError, match=message):
+        make_third_octave_grid(band_min, band_max)
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.desk_scale(band_min=band_min, band_max=band_max)
 
 
 def test_config_poses_are_lateral_offsets():
@@ -471,10 +484,11 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
     azimuths = {"cell": [], "reference": []}
     distances = []
-    for az, ref_buf in zip(harness.PLE_TARGET_AZIMUTHS,
-                           sweep.ref_renders[0.5]):
+    for az in harness.PLE_TARGET_AZIMUTHS:
         src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
+        ref_buf = harness.render_reference(src, hrir_set, pose,
+                                           CHANNELS_LOCALIZATION)
         buf = render_source(method, ear_bank, src)
         for unit, rendered in (("cell", buf), ("reference", ref_buf)):
             azimuths[unit].append(
@@ -520,9 +534,10 @@ def test_receiver_channels_of_a_metric_mix():
 def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
                                                    metrics):
     """A sweep's HRIR set holds only the channels its metrics read; each
-    unit's raw measurements equal those from the full 8-channel set, the
-    free-field probe renders equal the rows of a render over both ears,
-    and spectral distance compares `in_ear_L` whatever else is rendered."""
+    unit's raw measurements equal those from the full 8-channel set, a
+    free-field probe render over the restricted set's probe channels
+    equals the rows of a render over both ears, and spectral distance
+    compares `in_ear_L` whatever else is rendered."""
     _small_ple(monkeypatch)
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
@@ -542,10 +557,11 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
                         hrir_set, pose, ("in_ear_L",))
     rows = [CHANNELS_LOCALIZATION.index(c) for c in sweep.probe_channels]
     distances = []
-    for az, ref in zip(harness.PLE_TARGET_AZIMUTHS,
-                       sweep.ref_renders.get(0.5, ())):
+    for az in harness.PLE_TARGET_AZIMUTHS if sweep.probe_channels else ():
         src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
+        ref = harness.render_reference(src, restricted, pose,
+                                       sweep.probe_channels)
         ears = harness.render_reference(src, hrir_set, pose,
                                         CHANNELS_LOCALIZATION)
         assert np.array_equal(ref.samples, ears.samples[rows])
@@ -554,6 +570,28 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
             ears.samples[0], test.samples[0], config.sample_rate))
     if "spectral" in metrics:
         assert got["spectral", None] == float(np.mean(distances))
+
+
+@pytest.mark.parametrize("metrics", [
+    ("beam",), ("snr",), ("ple",), ("spectral",), ("ple", "spectral"),
+    ("beam", "snr", "spectral")])
+def test_load_hrirs_makes_no_set_beyond_the_read_channels(monkeypatch,
+                                                          metrics):
+    """A sphere-model sweep that reads fewer than eight channels never
+    holds an 8-channel set: the only set made is over its read channels."""
+    made = []
+    real_post_init = HrirSet.__post_init__
+
+    def recording_post_init(self):
+        made.append((self.channels, self.irs.shape[1]))
+        real_post_init(self)
+
+    monkeypatch.setattr(HrirSet, "__post_init__", recording_post_init)
+    config = SweepConfig.desk_scale(metrics=metrics)
+    channels = harness.receiver_channels(config)
+    assert len(channels) < len(CHANNELS)
+    assert harness._load_hrirs(config).channels == channels
+    assert made == [(channels, len(channels))]
 
 
 def test_saved_set_without_a_read_channel_fails_at_load(tmp_path):
@@ -570,6 +608,49 @@ def test_saved_set_without_a_read_channel_fails_at_load(tmp_path):
     assert str(list(BTE)) in message and str(path) in message
     ple = SweepConfig.desk_scale(hrir_source=str(path), metrics=("ple",))
     assert harness._load_hrirs(ple).channels == CHANNELS_LOCALIZATION
+
+
+def test_building_a_sweep_renders_no_free_field(hrir_set, monkeypatch):
+    """The set-up holds no rendered audio: building a sweep of every
+    metric over two poses renders no free-field probe."""
+    _small_ple(monkeypatch)
+    calls = []
+    monkeypatch.setattr(harness, "render_reference",
+                        lambda *args, **kwargs: calls.append(args))
+    sweep = harness._Sweep(POOL_GRID, hrir_set)
+    assert calls == []
+    assert sweep.lookup is not None and sweep.scene is not None
+
+
+@pytest.mark.parametrize("metrics, reference, cell", [
+    (("ple", "spectral"), [CHANNELS_LOCALIZATION], [("in_ear_L",)]),
+    (("ple",), [CHANNELS_LOCALIZATION], []),
+    (("spectral",), [], [("in_ear_L",)]),
+])
+def test_units_render_their_free_field_probes(hrir_set, monkeypatch,
+                                              metrics, reference, cell):
+    """The reference renders its free-field probes over both ears for PLE
+    and none for spectral distance alone; a spectral cell renders each
+    target's free-field probe over `in_ear_L` alone."""
+    targets = _small_ple(monkeypatch)
+    real_render = harness.render_reference
+    rendered = []
+
+    def recording_render(source, hrir_set, listener, channels):
+        rendered.append(tuple(channels))
+        return real_render(source, hrir_set, listener, channels)
+
+    monkeypatch.setattr(harness, "render_reference", recording_render)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
+        metrics=metrics)
+    sweep = harness._Sweep(config, hrir_set.select(
+        harness.receiver_channels(config)))
+    for unit, channels in (((None, None, 0.5), reference),
+                           (("vbap", 6, 0.5), cell)):
+        rendered.clear()
+        sweep.unit(*unit)
+        assert rendered == channels * len(targets), unit
 
 
 def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):
@@ -708,17 +789,18 @@ def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
     assert np.isfinite(values[[0, 2]]).all() and np.isnan(values[1])
 
 
-# One spectral cell at the centre: free-field probe renders, no cue lookup.
+# One spectral cell at the centre, no cue lookup: only the cell renders
+# free field, its probes.
 SPECTRAL_QUICK = SweepConfig.desk_scale(
     speaker_counts=(4,), pose_offsets=(0.0,), methods=("nsp",),
     metrics=("spectral",))
 
 
 def _setup_calls(monkeypatch, stage, call):
-    """With `_small_ple`, makes every call of one parallel set-up stage call
-    `call()` first: each cue-lookup probe render, each noise synthesis of
-    the scene, or each free-field probe render; returns a sweep's config
-    that runs the stage."""
+    """With `_small_ple`, makes every call of one stage call `call()`
+    first: of the parallel set-up, each cue-lookup probe render or each
+    noise synthesis of the scene; in a unit, each free-field probe render
+    of a spectral cell. Returns a sweep's config that runs the stage."""
     _small_ple(monkeypatch)
     owner, name, config = {
         "lookup": (localization, "render_reference", PLE_QUICK),
@@ -885,6 +967,34 @@ def test_cli_render(tmp_path):
     rate, data = wavfile.read(wav)
     assert rate == 48000
     assert data.shape[1] == 2
+
+
+@pytest.mark.parametrize("args, channels", [
+    (["--method", "reference"], CHANNELS_LOCALIZATION),
+    (["--method", "vbap", "--count", "12", "--azimuth", "30",
+      "--algorithm", "adm"], ("ha_L_front", "ha_L_rear")),
+])
+def test_cli_render_synthesizes_only_the_rendered_channels(
+        tmp_path, monkeypatch, args, channels):
+    """`spatsim render` synthesizes only the channels it renders (with an
+    algorithm, the algorithm's), and its WAV equals, byte for byte, the one
+    rendered from the full 8-channel set."""
+    real_synth = cli.synth_sphere_hrir
+    synthesized = []
+
+    def recording_synth(**kwargs):
+        synthesized.append(tuple(kwargs["channels"]))
+        return real_synth(**kwargs)
+
+    wavs = {}
+    for name, synth in (("read", recording_synth), ("full", lambda **kwargs:
+                        real_synth(distance=kwargs["distance"]))):
+        monkeypatch.setattr(cli, "synth_sphere_hrir", synth)
+        wavs[name] = tmp_path / f"{name}.wav"
+        assert main(["render", str(wavs[name]), "--duration", "0.2",
+                     *args]) == 0
+    assert synthesized == [channels]
+    assert wavs["read"].read_bytes() == wavs["full"].read_bytes()
 
 
 def test_cli_bad_input_exits_nonzero(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
@@ -9,6 +11,8 @@ from spatsim.hrir import (CHANNELS, CHANNELS_BEAMFORMER,
                           _estimate_delay, interpolate_direction,
                           load_hrir_set, save_hrir_set, synth_sphere_hrir,
                           translate_listener)
+from spatsim.harness import (ALGORITHM_NAMES, METRIC_NAMES, SweepConfig,
+                             receiver_channels)
 from spatsim.metrics import make_third_octave_grid, third_octave_analyze
 from spatsim.sphere import SeriesConvergenceError, sphere_transfer
 
@@ -268,6 +272,36 @@ def test_load_rate_mismatch(tmp_path):
     wavfile.write(path, rate // 2, data)
     with pytest.raises(HrirLoadError, match="sample rate"):
         load_hrir_set(tmp_path / "set")
+
+
+# The (metrics, algorithms) of every single-metric sweep, each algorithm's
+# SNR sweep, and the benchmark's two workloads (ple-center, mixed-lateral).
+_READ_CHANNEL_CONFIGS = [
+    *(((metric,), ALGORITHM_NAMES) for metric in METRIC_NAMES),
+    *((("snr",), (name,)) for name in ALGORITHM_NAMES),
+    (("ple", "spectral"), ALGORITHM_NAMES),
+    (("beam", "snr", "spectral"), ALGORITHM_NAMES),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_set(step):
+    return synth_sphere_hrir(azimuth_grid=np.arange(0.0, 360.0, step))
+
+
+@pytest.mark.parametrize("step", [5.0, 10.0, 90.0])
+def test_sphere_hrir_over_read_channels_equals_the_full_set(step):
+    """Synthesizing only the channels a sweep reads gives, bit for bit, the
+    full 8-channel set restricted to them."""
+    full = _full_set(step)
+    for metrics, algorithms in _READ_CHANNEL_CONFIGS:
+        channels = receiver_channels(SweepConfig(metrics=metrics,
+                                                 algorithms=algorithms))
+        subset = synth_sphere_hrir(azimuth_grid=full.azimuths,
+                                   channels=channels)
+        assert subset.channels == channels
+        assert np.array_equal(subset.irs, full.select(channels).irs), (
+            metrics, algorithms)
 
 
 def test_sphere_series_not_converged_raises():
