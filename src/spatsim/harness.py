@@ -28,12 +28,13 @@ from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                      DesignError, MvdrBeamformer, MvdrCoreBeamformer,
                      SingleChannelNoiseReduction, design_mvdr)
 from .hrir import (CHANNELS, CHANNELS_LOCALIZATION, DEFAULT_HEAD_RADIUS,
-                   HrirLoadError, HrirSet, MicLayout, load_hrir_set,
+                   HrirSet, MicLayout, load_hrir_set,
                    synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
 from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
-                      beam_error, beam_pattern, make_third_octave_grid,
-                      snr_error, snr_improvement, spectral_distance)
+                      beam_error, beam_pattern, excitation_pattern,
+                      make_third_octave_grid, snr_error, snr_improvement,
+                      spectral_distance)
 from .panner import ReproductionMethod, aliasing_limit
 from .signals import make_default_scene, speech_shaped_noise
 from .stft import StftProcessor
@@ -96,6 +97,13 @@ class SweepConfig:
                 object.__setattr__(self, f.name, float(value))
             elif f.type == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        if self.n_noise_sources < 1:
+            raise ValueError(f"n_noise_sources must be at least 1, not "
+                             f"{self.n_noise_sources}")
+        for key in ("scene_duration", "pattern_probe_duration"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, not "
+                                 f"{getattr(self, key):g}")
         # A band above the Nyquist frequency has no bins: its error reads 0.
         if not self.band_min < self.band_max <= self.sample_rate / 2:
             raise ValueError(f"need band_min < band_max <= sample_rate / 2, "
@@ -262,22 +270,17 @@ def receiver_channels(config: SweepConfig) -> tuple:
 
 def _load_hrirs(config: SweepConfig) -> HrirSet:
     """The sweep's HRIR set over only `receiver_channels(config)`, which the
-    sphere model synthesizes alone; a loaded set is dropped once cut."""
+    sphere model synthesizes and a saved set is read over alone."""
     channels = receiver_channels(config)
     if config.hrir_source == "sphere":
         return synth_sphere_hrir(
             sample_rate=config.sample_rate, head_radius=config.head_radius,
             distance=config.array_radius, channels=channels)
-    hrir_set = load_hrir_set(config.hrir_source)
+    hrir_set = load_hrir_set(config.hrir_source, channels)
     if hrir_set.sample_rate != config.sample_rate:
         raise ValueError(f"HRIR set at {hrir_set.sample_rate} Hz, sweep at "
                          f"{config.sample_rate} Hz: {config.hrir_source}")
-    missing = [c for c in channels if c not in hrir_set.channels]
-    if missing:
-        raise HrirLoadError(f"HRIR set lacks the channel(s) {missing} that "
-                            f"the configured metrics read: "
-                            f"{config.hrir_source}")
-    return hrir_set.select(channels)
+    return hrir_set
 
 
 def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
@@ -311,18 +314,15 @@ def _surface_keys(config: SweepConfig) -> list:
                               else (None,))]
 
 
-# Per metric, a cell's error from its reference's raw measurement (None for
-# spectral, which is measured against the free-field renders) and its own.
+# Per metric, a cell's error from its reference's raw measurement and its
+# own; spectral distance is the mean over the PLE targets.
 _ERRORS = {
     "beam": beam_error,
     "snr": snr_error,
     "ple": lambda ref, test: PleCell(test - ref),
-    "spectral": lambda ref, test: test,
+    "spectral": lambda ref, test: float(np.mean(
+        [spectral_distance(r, t) for r, t in zip(ref, test)])),
 }
-
-
-class _FreeFieldFailed(Exception):
-    """A free-field render raised inside a cell; its cause is the error."""
 
 
 class _Sweep:
@@ -334,9 +334,9 @@ class _Sweep:
 
     A cell's bank holds the set's channels, so a set restricted to
     `receiver_channels(config)` (as `run_sweep` passes it) gives banks over
-    only the channels the metrics read. The probe renders hold only the
-    channels that PLE (both in-ear channels) and spectral distance
-    (`in_ear_L`) read.
+    only the channels the metrics read. The probe renders, in the reference
+    as in a cell, hold only the channels that PLE (both in-ear channels)
+    and spectral distance (`in_ear_L`) read.
 
     `map(call, args)` runs the set-up's parallel parts in argument order:
     the cue lookup's columns and the scene's source signals. A pool's map
@@ -395,19 +395,13 @@ class _Sweep:
         """The raw measurements of one cell, or with `method_name=None` of
         the free-field reference at the pose, by (metric, algorithm), in
         plain numpy values: the beam pattern, the SNR improvement per
-        algorithm, the fine azimuth per PLE target (NaN for none), and for
-        a cell its mean spectral distance from the free-field renders. The
-        top decides what the two differ in: the beam pattern's method and
-        bank, the render of one source and the probes to render. Each probe
-        is rendered over `probe_channels` when the loop reaches it (for the
-        reference, only for PLE); a cell also renders each target's
-        free-field probe over `SPECTRAL_CHANNEL` for spectral distance."""
+        algorithm, the fine azimuth per PLE target (NaN for none) and the
+        excitation pattern of each target's probe for spectral distance.
+        The top decides all that the two differ in: the beam pattern's
+        method and bank and the render of one source. Each probe is
+        rendered over `probe_channels` when the loop reaches it."""
         config, hrir_set = self.config, self.hrir_set
         listener = self.poses[pose_offset]
-
-        def free_field(channels):
-            return functools.partial(render_reference, hrir_set=hrir_set,
-                                     listener=listener, channels=channels)
         if method_name is None:
             # The free-field pattern: NSP on a ring with a speaker on every
             # probe azimuth, which renders each probe as its own loudspeaker.
@@ -417,9 +411,10 @@ class _Sweep:
                     build_array(len(PATTERN_AZIMUTHS),
                                 radius=hrir_set.distance),
                     hrir_set, listener, self.pattern_algorithm.channels)
-            renderer = free_field
-            # Spectral distance is a cell's distance from the free field.
-            probed, spectral = self.lookup is not None, False
+
+            def renderer(channels):
+                return functools.partial(render_reference, hrir_set=hrir_set,
+                                         listener=listener, channels=channels)
         else:
             method = ReproductionMethod(method_name)
             # One bank over the set's channels for every metric of the
@@ -430,8 +425,6 @@ class _Sweep:
             def renderer(channels):
                 return functools.partial(render_source, method,
                                          bank.select(channels))
-            probed = bool(self.probe_channels)
-            spectral = "spectral" in config.metrics
         out = {}
         if self.pattern_algorithm is not None:
             out["beam", None] = beam_pattern(
@@ -443,26 +436,24 @@ class _Sweep:
             for name, alg in self.algorithms.items():
                 out["snr", name] = snr_improvement(
                     alg, stems, self.grid, input_snrs=config.input_snrs)
-        row = self.probe_channels.index(SPECTRAL_CHANNEL) if spectral else None
-        azimuths, distances = [], []
-        render_probe = renderer(self.probe_channels) if probed else None
-        for azimuth in PLE_TARGET_AZIMUTHS if probed else ():
-            source = VirtualSource(self.probe, Position2D.from_polar(
-                azimuth, config.array_radius))
-            buf = render_probe(source)
+        if not self.probe_channels:
+            return out
+        row = (self.probe_channels.index(SPECTRAL_CHANNEL)
+               if "spectral" in config.metrics else None)
+        azimuths, patterns = [], []
+        render_probe = renderer(self.probe_channels)
+        for azimuth in PLE_TARGET_AZIMUTHS:
+            buf = render_probe(VirtualSource(self.probe, Position2D.from_polar(
+                azimuth, config.array_radius)))
             if self.lookup is not None:
                 azimuths.append(localize(buf, self.lookup).fine_azimuth)
-            if spectral:
-                try:
-                    ref = free_field((SPECTRAL_CHANNEL,))(source)
-                except Exception as error:
-                    raise _FreeFieldFailed from error
-                distances.append(spectral_distance(
-                    ref.samples[0], buf.samples[row], buf.sample_rate))
+            if row is not None:
+                patterns.append(excitation_pattern(buf.samples[row],
+                                                   buf.sample_rate))
         if self.lookup is not None:
             out["ple", None] = np.array(azimuths, dtype=float)
-        if spectral:
-            out["spectral", None] = float(np.mean(distances))
+        if row is not None:
+            out["spectral", None] = np.array(patterns)
         return out
 
 
@@ -518,12 +509,10 @@ def _pool_map(call, args, workers: int, handed_out=None) -> list:
 
 def _run_unit(sweep: _Sweep, unit: tuple) -> tuple:
     """(measurements, None), or (None, traceback) for a cell that raised.
-    A failed free-field render, in the reference or in a cell, raises: no
-    cell of its pose can be compared against it."""
+    A failed reference raises: no cell of its pose can be compared against
+    it."""
     try:
         return sweep.unit(*unit), None
-    except _FreeFieldFailed as failed:
-        raise failed.__cause__
     except Exception:
         if unit[0] is None:
             raise
@@ -548,23 +537,24 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     the sphere model synthesizes over these channels alone) is restricted
     to `receiver_channels(config)`: the six BTE channels for beam, each
     algorithm's channels and `in_ear_L` for SNR, both in-ear channels for
-    PLE and `in_ear_L` for spectral distance. A saved set that lacks one of
-    them fails here, naming the channels and the directory.
+    PLE and `in_ear_L` for spectral distance. A saved set is read over
+    only these channels, and one that lacks some of them fails at load,
+    naming the channels and the directory.
 
     Each pose's free-field reference and each cell is one unit of work,
-    which renders its own probes; `workers` processes (default:
-    `_default_workers()`) measure them, forked after the shared set-up, and
-    the errors are formed here in grid order. The set-up's parallel parts
-    (`_Sweep`: the cue lookup's columns and the scene's source signals) run
-    on such pools too, one per part, before the units. Every pool returns
-    its results in argument order, so the result does not depend on
-    `workers`.
+    which renders its own probes and returns the same measurements;
+    `workers` processes (default: `_default_workers()`) measure them,
+    forked after the shared set-up, and the errors are formed here in grid
+    order. The set-up's parallel parts (`_Sweep`: the cue lookup's columns
+    and the scene's source signals) run on such pools too, one per part,
+    before the units. Every pool returns its results in argument order, so
+    the result does not depend on `workers`.
 
     Deterministic for a given config, which alone decides the surfaces
     (`_surface_keys` per method and pose); cell failures are recorded and
     leave NaNs in the affected surfaces instead of aborting the run, except
-    a failed free-field render, which aborts it. A failed MVDR design
-    leaves NaNs in the beamformer's SNR surfaces and the beam surfaces.
+    a failed reference, which aborts it. A failed MVDR design leaves NaNs
+    in the beamformer's SNR surfaces and the beam surfaces.
     """
     if workers is None:
         workers = _default_workers()
@@ -616,7 +606,7 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
                     failures.append((cell, error))
                     continue
                 for key, measured in test.items():
-                    value = _ERRORS[key[0]](ref.get(key), measured)
+                    value = _ERRORS[key[0]](ref[key], measured)
                     if isinstance(value, PleCell):
                         ple_cells[cell] = value
                         value = value.value

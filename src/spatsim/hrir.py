@@ -274,8 +274,10 @@ def save_hrir_set(hrir_set: HrirSet, path) -> None:
                       hrir_set.irs[i].T.astype(np.float32))
 
 
-def load_hrir_set(path) -> HrirSet:
-    """Load and validate a set written by save_hrir_set."""
+def load_hrir_set(path, channels: tuple | None = None) -> HrirSet:
+    """Load and validate a set written by save_hrir_set, over only the
+    named `channels` in that order (default: all it holds); a set that
+    lacks one of them fails, naming them and the directory."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
@@ -290,7 +292,12 @@ def load_hrir_set(path) -> HrirSet:
     rate = int(manifest["sample_rate"])
     azimuths = (manifest["azimuth_start"]
                 + manifest["azimuth_step"] * np.arange(manifest["azimuth_count"]))
-    channels = tuple(manifest["channels"])
+    stored = tuple(manifest["channels"])
+    channels = stored if channels is None else tuple(channels)
+    missing = [c for c in channels if c not in stored]
+    if missing:
+        raise HrirLoadError(f"HRIR set lacks the channel(s) {missing}: {path}")
+    columns = [stored.index(c) for c in channels]
     irs = None
     for i, az in enumerate(azimuths):
         fname = path / manifest["file_pattern"].format(azimuth=az)
@@ -300,16 +307,16 @@ def load_hrir_set(path) -> HrirSet:
         if file_rate != rate:
             raise HrirLoadError(
                 f"sample rate mismatch in {fname}: manifest {rate}, file {file_rate}")
-        if data.ndim != 2 or data.shape[1] != len(channels):
+        if data.ndim != 2 or data.shape[1] != len(stored):
             raise HrirLoadError(
-                f"channel count mismatch in {fname}: expected {len(channels)}")
+                f"channel count mismatch in {fname}: expected {len(stored)}")
         if irs is None:
             irs = np.empty((len(azimuths), len(channels), data.shape[0]))
         elif data.shape[0] != irs.shape[2]:
             raise HrirLoadError(
                 f"IR length mismatch in {fname}: expected {irs.shape[2]}, "
                 f"got {data.shape[0]}")
-        irs[i] = data.T.astype(float)
+        irs[i] = data[:, columns].T
 
     return HrirSet(sample_rate=rate, distance=float(manifest["distance"]),
                    azimuths=azimuths, irs=irs, channels=channels,

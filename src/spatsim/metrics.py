@@ -65,6 +65,13 @@ def _band_span(x: np.ndarray, sample_rate: int, grid: BandGrid) -> tuple:
     return np.fft.rfft(x, axis=-1)[..., bounds[0]:bounds[-1]], bounds, n
 
 
+def _doubled_bins(n: int, lo: int = 0) -> slice:
+    """The bins of a one-sided power spectrum of an `n`-sample signal that
+    stand for two, as a slice of its bins from `lo` on: every bin but DC
+    and an even length's Nyquist bin."""
+    return slice(max(1, lo) - lo, (n - 1) // 2 + 1 - lo)
+
+
 def _band_powers(span: np.ndarray, bounds: np.ndarray, n: int) -> np.ndarray:
     """Band powers of `n`-sample signals from their `_band_span`, one row
     per row of `span`."""
@@ -72,9 +79,7 @@ def _band_powers(span: np.ndarray, bounds: np.ndarray, n: int) -> np.ndarray:
     # Fortran order, the layout of a boolean-mask copy psd[:, mask]: a band
     # sum then adds the bins of all rows in the same order as that copy's.
     psd = np.asfortranarray(np.abs(span) ** 2 / n ** 2)
-    # One-sided spectrum: every bin but DC and an even length's Nyquist bin
-    # stands for two.
-    psd[:, max(1, lo) - lo:(n - 1) // 2 + 1 - lo] *= 2.0
+    psd[:, _doubled_bins(n, lo)] *= 2.0
     powers = np.empty((span.shape[0], len(bounds) - 1))
     for b in range(len(bounds) - 1):
         powers[:, b] = psd[:, bounds[b] - lo:bounds[b + 1] - lo].sum(axis=1)
@@ -215,7 +220,7 @@ def _erb_weights(n: int, sample_rate: int, f_hi: float) -> np.ndarray:
     """Rounded-exponential weights of the filters spaced 0.5 ERB apart
     from 100 Hz to `f_hi` over the rfft bins of an `n`-sample signal, one
     row per filter. Only the last set is kept: at n = 53k it takes 13 MB,
-    and a sweep compares signals of one length."""
+    and the probe renders of one sweep unit are of one length."""
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     e_centers = np.arange(erb_number(100.0), erb_number(f_hi) + 1e-9, 0.5)
     rows = []
@@ -225,43 +230,31 @@ def _erb_weights(n: int, sample_rate: int, f_hi: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _erb_excitation(signals, sample_rate: int,
-                    f_hi: float = 8000.0) -> np.ndarray:
-    """Excitation patterns in dB, one row per signal (all of one length),
-    from the long-term power spectrum through an ERB-spaced
+def excitation_pattern(signal, sample_rate: int,
+                       f_hi: float = 8000.0) -> np.ndarray:
+    """Excitation pattern in dB of one signal scaled to unit mean-square
+    power, from its long-term power spectrum through an ERB-spaced
     rounded-exponential filterbank."""
-    x = np.stack([np.asarray(s, dtype=float).ravel() for s in signals])
-    n = x.shape[1]
-    psds = np.abs(np.fft.rfft(x, axis=1)) ** 2 / n ** 2
-    psds[:, 1:] *= 2.0
-    weights = _erb_weights(n, sample_rate, f_hi)
-    excitation = np.empty((len(psds), len(weights)))
-    for i, w in enumerate(weights):
-        for j, psd in enumerate(psds):
-            excitation[j, i] = np.maximum((w * psd).sum(), 1e-30)
-    return 10.0 * np.log10(excitation)
+    x = np.asarray(signal, dtype=float)
+    power = np.mean(np.square(x))
+    if power <= 0:
+        raise ValueError("excitation pattern undefined for silent input")
+    n = len(x)
+    psd = np.abs(np.fft.rfft(x / np.sqrt(power))) ** 2 / n ** 2
+    psd[_doubled_bins(n)] *= 2.0
+    excitation = [(w * psd).sum() for w in _erb_weights(n, sample_rate, f_hi)]
+    return 10.0 * np.log10(np.maximum(excitation, 1e-30))
 
 
-def spectral_distance(ref: np.ndarray, test: np.ndarray,
-                      sample_rate: int) -> float:
-    """Scalar spectral distance from excitation-pattern differences.
+def spectral_distance(ref: np.ndarray, test: np.ndarray) -> float:
+    """Scalar spectral distance of a test excitation pattern from a
+    reference one (`excitation_pattern`, so both are level-matched).
 
     Combines mean absolute difference, ripple (deviation from the smoothed
-    difference) and slope difference by a weighted sum. Signals are
-    level-matched before comparison; identical signals give 0.
+    difference) and slope difference by a weighted sum; identical patterns
+    give 0.
     """
-    ref = np.asarray(ref, dtype=float).ravel()
-    test = np.asarray(test, dtype=float).ravel()
-    n = min(len(ref), len(test))
-    ref, test = ref[:n], test[:n]
-    p_ref = np.mean(np.square(ref))
-    p_test = np.mean(np.square(test))
-    if p_ref <= 0 or p_test <= 0:
-        raise ValueError("spectral distance undefined for silent input")
-    test = test * np.sqrt(p_ref / p_test)
-
-    e_ref, e_test = _erb_excitation((ref, test), sample_rate)
-    diff = e_test - e_ref
+    diff = test - ref
     d_abs = np.mean(np.abs(diff))
     kernel = np.ones(5) / 5.0
     smooth = np.convolve(diff, kernel, mode="same")

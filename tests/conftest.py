@@ -5,6 +5,7 @@ import pytest
 
 from spatsim.binsim import (VirtualSource, render_reference,
                             render_scene_stems, render_source)
+from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
 from spatsim.geometry import Position2D
 from spatsim.haalgo import design_mvdr
 from spatsim.hrir import synth_sphere_hrir
@@ -66,3 +67,31 @@ def beam_pattern_per_azimuth(algorithm, method, bank, hrir_set, pose, grid,
         g[~np.isfinite(g)] = BEAM_PATTERN_FLOOR_DB
         gains[i] = np.maximum(g, BEAM_PATTERN_FLOOR_DB)
     return gains
+
+
+def spectral_distance_of_pair(ref, test, sample_rate, f_hi=8000.0):
+    """Oracle of `metrics.spectral_distance` between the excitation patterns
+    of two signals, in the form that compared a pair in one step: both cut
+    to their common length, the test scaled to the reference's power, and
+    one excitation pattern of the two built with every bin from 1 on
+    doubled."""
+    n = min(len(ref), len(test))
+    ref, test = ref[:n], test[:n]
+    test = test * np.sqrt(np.mean(np.square(ref)) / np.mean(np.square(test)))
+    psds = np.abs(np.fft.rfft(np.stack([ref, test]), axis=1)) ** 2 / n ** 2
+    psds[:, 1:] *= 2.0
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    e_centers = np.arange(erb_number(100.0), erb_number(f_hi) + 1e-9, 0.5)
+    excitation = np.empty((2, len(e_centers)))
+    for i, fc in enumerate(erb_to_hz(e_centers)):
+        p = 4.0 * (np.abs(freqs - fc) / erb_bandwidth(fc))
+        w = (1.0 + p) * np.exp(-p)
+        for j, psd in enumerate(psds):
+            excitation[j, i] = np.maximum((w * psd).sum(), 1e-30)
+    e_ref, e_test = 10.0 * np.log10(excitation)
+    diff = e_test - e_ref
+    d_abs = np.mean(np.abs(diff))
+    d_ripple = np.mean(np.abs(diff - np.convolve(diff, np.ones(5) / 5.0,
+                                                 mode="same")))
+    d_slope = np.mean(np.abs(np.diff(diff)))
+    return 0.02 * d_abs + 0.02 * d_ripple + 0.01 * d_slope

@@ -25,8 +25,9 @@ from spatsim.harness import (ALGORITHM_NAMES, BEAM_CRITERION_DB, PleCell,
 from spatsim.hrir import CHANNELS_BEAMFORMER, CHANNELS_LOCALIZATION
 from spatsim.localization import (PLE_TARGET_AZIMUTHS, build_cue_lookup,
                                   localize)
-from spatsim.metrics import (beam_error, beam_pattern, make_third_octave_grid,
-                             snr_error, snr_improvement, spectral_distance)
+from spatsim.metrics import (beam_error, beam_pattern, excitation_pattern,
+                             make_third_octave_grid, snr_error,
+                             snr_improvement, spectral_distance)
 from spatsim.panner import (ReproductionMethod, aliasing_limit, hoa_kernel,
                             hoa_weights, vbap_weights)
 from spatsim.signals import make_default_scene, speech_shaped_noise
@@ -120,8 +121,9 @@ def identity_data(hrir_set, mvdr_design, lookup):
         nsp_buf = render_source(ReproductionMethod.NSP, ear_bank, src)
         ref_doas.append(localize(ref_buf, lookup).fine_azimuth)
         nsp_doas.append(localize(nsp_buf, lookup).fine_azimuth)
-        distances.append(spectral_distance(ref_buf.samples[0],
-                                           nsp_buf.samples[0], RATE))
+        distances.append(spectral_distance(
+            excitation_pattern(ref_buf.samples[0], RATE),
+            excitation_pattern(nsp_buf.samples[0], RATE)))
     return {"beam": beam_err, "snr": snr_err,
             "ple": PleCell(np.array(nsp_doas, dtype=float)
                            - np.array(ref_doas, dtype=float)).value,

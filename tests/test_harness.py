@@ -26,6 +26,8 @@ from spatsim.hrir import (CHANNELS, CHANNELS_BEAMFORMER,
                           save_hrir_set, synth_sphere_hrir)
 from spatsim.metrics import make_third_octave_grid
 
+from conftest import spectral_distance_of_pair
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -129,6 +131,28 @@ def test_config_rejects_a_band_range_without_a_centre(band_min, band_max):
         make_third_octave_grid(band_min, band_max)
     with pytest.raises(ValueError, match=message):
         SweepConfig.desk_scale(band_min=band_min, band_max=band_max)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # No noise stem to calibrate the SNR against, or an IndexError at -1.
+    ("n_noise_sources", 0, "n_noise_sources must be at least 1, not 0"),
+    ("n_noise_sources", -1, "n_noise_sources must be at least 1, not -1"),
+    # An FFT of 0 points, or of none.
+    ("scene_duration", 0.0, "scene_duration must be positive, not 0"),
+    ("scene_duration", -2.0, "scene_duration must be positive, not -2"),
+    ("scene_duration", float("nan"), "scene_duration must be positive"),
+    # An empty probe, whose band span raised an IndexError.
+    ("pattern_probe_duration", 0.0,
+     "pattern_probe_duration must be positive, not 0"),
+    ("pattern_probe_duration", -0.5,
+     "pattern_probe_duration must be positive, not -0.5"),
+])
+def test_config_rejects_what_only_a_worker_would_fail_on(key, value,
+                                                         message):
+    """A value that can only fail deep inside a unit fails when the config
+    is made, naming the field."""
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.desk_scale(**{key: value})
 
 
 def test_config_poses_are_lateral_offsets():
@@ -424,7 +448,8 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     measurements equal those of banks built for each metric's own
     channels. The reference unit's equal those measured directly in free
     field: the probe ring's pattern, the SNR of `render_reference` stems
-    and the localization of the free-field probe renders."""
+    and the localization and excitation patterns of the free-field probe
+    renders."""
     _small_ple(monkeypatch)
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
@@ -446,9 +471,7 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
         patch.setattr(harness.ReceiverBank, "__init__", counting_init)
         test = sweep.unit("vbap", 6, 0.5)
     assert built == [hrir_set.channels]
-    assert list(test) == harness._surface_keys(config)
-    assert list(ref) == [("beam", None), ("snr", "adm"), ("snr", "single_nr"),
-                         ("ple", None)]
+    assert list(test) == list(ref) == harness._surface_keys(config)
 
     method = harness.ReproductionMethod.VBAP
     array = harness.build_array(6, radius=config.array_radius)
@@ -483,7 +506,7 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
                                   equal_nan=True), (unit, name)
     ear_bank = ReceiverBank(array, hrir_set, pose, CHANNELS_LOCALIZATION)
     azimuths = {"cell": [], "reference": []}
-    distances = []
+    patterns = {"cell": [], "reference": []}
     for az in harness.PLE_TARGET_AZIMUTHS:
         src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
@@ -493,13 +516,14 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
         for unit, rendered in (("cell", buf), ("reference", ref_buf)):
             azimuths[unit].append(
                 harness.localize(rendered, sweep.lookup).fine_azimuth)
-        distances.append(harness.spectral_distance(
-            ref_buf.samples[0], buf.samples[0], buf.sample_rate))
+            patterns[unit].append(harness.excitation_pattern(
+                rendered.samples[0], rendered.sample_rate))
     for unit, (measured, _) in renders.items():
         assert np.array_equal(measured["ple", None],
                               np.array(azimuths[unit], dtype=float),
                               equal_nan=True), unit
-    assert test["spectral", None] == float(np.mean(distances))
+        assert np.array_equal(measured["spectral", None],
+                              np.array(patterns[unit])), unit
 
 
 BTE = CHANNELS_BEAMFORMER
@@ -537,7 +561,7 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
     unit's raw measurements equal those from the full 8-channel set, a
     free-field probe render over the restricted set's probe channels
     equals the rows of a render over both ears, and spectral distance
-    compares `in_ear_L` whatever else is rendered."""
+    reads `in_ear_L` whatever else is rendered."""
     _small_ple(monkeypatch)
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
@@ -556,7 +580,7 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
     left = ReceiverBank(harness.build_array(6, radius=config.array_radius),
                         hrir_set, pose, ("in_ear_L",))
     rows = [CHANNELS_LOCALIZATION.index(c) for c in sweep.probe_channels]
-    distances = []
+    patterns = []
     for az in harness.PLE_TARGET_AZIMUTHS if sweep.probe_channels else ():
         src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
@@ -566,10 +590,10 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
                                         CHANNELS_LOCALIZATION)
         assert np.array_equal(ref.samples, ears.samples[rows])
         test = render_source(harness.ReproductionMethod.VBAP, left, src)
-        distances.append(harness.spectral_distance(
-            ears.samples[0], test.samples[0], config.sample_rate))
+        patterns.append(harness.excitation_pattern(test.samples[0],
+                                                   config.sample_rate))
     if "spectral" in metrics:
-        assert got["spectral", None] == float(np.mean(distances))
+        assert np.array_equal(got["spectral", None], np.array(patterns))
 
 
 @pytest.mark.parametrize("metrics", [
@@ -623,15 +647,15 @@ def test_building_a_sweep_renders_no_free_field(hrir_set, monkeypatch):
 
 
 @pytest.mark.parametrize("metrics, reference, cell", [
-    (("ple", "spectral"), [CHANNELS_LOCALIZATION], [("in_ear_L",)]),
+    (("ple", "spectral"), [CHANNELS_LOCALIZATION], []),
     (("ple",), [CHANNELS_LOCALIZATION], []),
-    (("spectral",), [], [("in_ear_L",)]),
+    (("spectral",), [("in_ear_L",)], []),
 ])
 def test_units_render_their_free_field_probes(hrir_set, monkeypatch,
                                               metrics, reference, cell):
-    """The reference renders its free-field probes over both ears for PLE
-    and none for spectral distance alone; a spectral cell renders each
-    target's free-field probe over `in_ear_L` alone."""
+    """The reference renders each target's free-field probe once, over the
+    channels PLE and spectral distance read (`probe_channels`), as a cell
+    renders its test probes; a cell renders no free field."""
     targets = _small_ple(monkeypatch)
     real_render = harness.render_reference
     rendered = []
@@ -646,11 +670,51 @@ def test_units_render_their_free_field_probes(hrir_set, monkeypatch,
         metrics=metrics)
     sweep = harness._Sweep(config, hrir_set.select(
         harness.receiver_channels(config)))
+    assert [sweep.probe_channels] == reference
     for unit, channels in (((None, None, 0.5), reference),
                            (("vbap", 6, 0.5), cell)):
         rendered.clear()
         sweep.unit(*unit)
         assert rendered == channels * len(targets), unit
+
+
+@pytest.mark.parametrize("pose_offset", [0.0, 0.5])
+def test_spectral_distance_equals_the_level_matched_pair_formula(
+        hrir_set, monkeypatch, pose_offset):
+    """The distance the parent forms from the units' excitation patterns
+    is the mean over targets of the formula that compared each target's
+    free-field and test renders as a pair (cut to their common length, the
+    test level-matched to the free field, one joint excitation), to 1e-12
+    relative, for every method on and off centre. No target lies on a
+    speaker, where NSP's distance is round-off."""
+    targets = np.array([-35.0, 10.0, 55.0])
+    monkeypatch.setattr(harness, "PLE_TARGET_AZIMUTHS", targets)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(12,), pose_offsets=(pose_offset,),
+        metrics=("spectral",))
+    sweep = harness._Sweep(config, hrir_set.select(
+        harness.receiver_channels(config)))
+    pose = config.poses()[0]
+    left = ReceiverBank(harness.build_array(12, radius=config.array_radius),
+                        hrir_set, pose, ("in_ear_L",))
+    ref = sweep.unit(None, None, pose_offset)["spectral", None]
+    assert ref.shape[0] == len(targets)
+    for method in config.methods:
+        test = sweep.unit(method, 12, pose_offset)["spectral", None]
+        distances = []
+        for az in targets:
+            src = VirtualSource(sweep.probe,
+                                Position2D.from_polar(az, config.array_radius))
+            free = harness.render_reference(src, hrir_set, pose,
+                                            ("in_ear_L",))
+            cell = render_source(harness.ReproductionMethod(method), left,
+                                 src)
+            distances.append(spectral_distance_of_pair(
+                free.samples[0], cell.samples[0], config.sample_rate))
+        want = float(np.mean(distances))
+        assert want > 1e-4
+        assert harness._ERRORS["spectral"](ref, test) == pytest.approx(
+            want, rel=1e-12, abs=0.0), method
 
 
 def test_design_error_is_recorded_not_fatal(hrir_set, monkeypatch):
@@ -766,6 +830,21 @@ def test_progress_once_per_cell_in_grid_order(pool_runs):
     assert pool_runs[2][2] == grid_order
 
 
+def test_reference_and_cells_measure_the_same_keys(hrir_set, monkeypatch):
+    """Every metric is a raw measurement of each unit: the reference of
+    each pose and every cell return the same (metric, algorithm) keys,
+    those of the surfaces."""
+    _small_ple(monkeypatch)
+    sweep = harness._Sweep(POOL_GRID, hrir_set)
+    keys = harness._surface_keys(POOL_GRID)
+    assert ("spectral", None) in keys
+    for pose in POOL_GRID.pose_offsets:
+        assert list(sweep.unit(None, None, pose)) == keys, pose
+        for method in POOL_GRID.methods:
+            for count in POOL_GRID.speaker_counts:
+                assert list(sweep.unit(method, count, pose)) == keys
+
+
 def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
     targets = _small_ple(monkeypatch)
     real_build_array = harness.build_array
@@ -789,8 +868,8 @@ def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
     assert np.isfinite(values[[0, 2]]).all() and np.isnan(values[1])
 
 
-# One spectral cell at the centre, no cue lookup: only the cell renders
-# free field, its probes.
+# One spectral cell at the centre, no cue lookup: only the reference
+# renders free field, its probes.
 SPECTRAL_QUICK = SweepConfig.desk_scale(
     speaker_counts=(4,), pose_offsets=(0.0,), methods=("nsp",),
     metrics=("spectral",))
@@ -800,7 +879,8 @@ def _setup_calls(monkeypatch, stage, call):
     """With `_small_ple`, makes every call of one stage call `call()`
     first: of the parallel set-up, each cue-lookup probe render or each
     noise synthesis of the scene; in a unit, each free-field probe render
-    of a spectral cell. Returns a sweep's config that runs the stage."""
+    of the reference of a spectral sweep. Returns a sweep's config that
+    runs the stage."""
     _small_ple(monkeypatch)
     owner, name, config = {
         "lookup": (localization, "render_reference", PLE_QUICK),

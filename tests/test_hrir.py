@@ -236,6 +236,29 @@ def test_save_load_round_trip(tmp_path):
     assert np.abs(loaded.irs - hs.irs).max() < 1e-6
 
 
+def test_load_over_channels_equals_the_selected_full_set(tmp_path):
+    """Reading only some channels of a saved set gives, bit for bit, the
+    full set restricted to them, in the order asked for; a channel the set
+    lacks fails, naming it and the directory."""
+    save_hrir_set(synth_sphere_hrir(azimuth_grid=np.arange(0.0, 360.0, 45.0),
+                                    ir_length=512), tmp_path / "set")
+    full = load_hrir_set(tmp_path / "set")
+    for metrics, algorithms in _READ_CHANNEL_CONFIGS:
+        channels = receiver_channels(SweepConfig(metrics=metrics,
+                                                 algorithms=algorithms))
+        loaded = load_hrir_set(tmp_path / "set", channels)
+        assert loaded.channels == channels
+        assert np.array_equal(loaded.irs, full.select(channels).irs)
+    reordered = ("ha_R_rear", "in_ear_L")
+    assert np.array_equal(load_hrir_set(tmp_path / "set", reordered).irs,
+                          full.select(reordered).irs)
+    save_hrir_set(full.select(CHANNELS_LOCALIZATION), tmp_path / "ears")
+    with pytest.raises(HrirLoadError) as raised:
+        load_hrir_set(tmp_path / "ears", ("in_ear_L", "ha_L_front"))
+    assert "['ha_L_front']" in str(raised.value)
+    assert str(tmp_path / "ears") in str(raised.value)
+
+
 def test_select_keeps_the_named_channels(hrir_set):
     sub = hrir_set.select(("in_ear_R", "ha_L_front"))
     assert sub.channels == ("in_ear_R", "ha_L_front")

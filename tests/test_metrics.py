@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import spatsim.metrics as metrics
 from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
 from spatsim.binsim import ReceiverBank, SceneSpec, VirtualSource, noise_scale
 from spatsim.geometry import Position2D, build_array
@@ -12,8 +11,9 @@ from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
 from spatsim.hrir import CHANNELS_BEAMFORMER
 from spatsim.metrics import (BEAM_PATTERN_FLOOR_DB, BandGrid,
                              NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
-                             beam_error, beam_pattern, make_third_octave_grid,
-                             snr_error, snr_improvement, spectral_distance,
+                             beam_error, beam_pattern, excitation_pattern,
+                             make_third_octave_grid, snr_error,
+                             snr_improvement, spectral_distance,
                              third_octave_analyze)
 from spatsim.panner import ReproductionMethod
 from spatsim.signals import (make_default_scene, speech_shaped_noise,
@@ -352,65 +352,74 @@ def test_beam_pattern_equals_the_per_azimuth_renders(hrir_set, mvdr_design,
 # Spectral distance
 
 
+def _distance(ref, test, sample_rate=RATE):
+    return spectral_distance(excitation_pattern(ref, sample_rate),
+                             excitation_pattern(test, sample_rate))
+
+
 def test_spectral_distance_axioms():
     x = speech_shaped_noise(1.0, RATE, seed=8)
     y = speech_shaped_noise(1.0, RATE, seed=9)
-    assert spectral_distance(x, x, RATE) == 0.0
-    assert spectral_distance(x, y, RATE) >= 0.0
-
-
-def test_spectral_distance_one_weight_for_both_signals(monkeypatch):
-    # Each ERB weight is built once and applied to both spectra; the result
-    # is that of one excitation pattern per signal, bit for bit.
-    x = speech_shaped_noise(48127 / RATE, RATE, seed=14)
-    y = np.convolve(x, [1.0, -0.6, 0.2], mode="same")
-    assert len(x) == 48127
-    joint = metrics._erb_excitation((x, y), RATE)
-    single = [metrics._erb_excitation((s,), RATE)[0] for s in (x, y)]
-    assert np.array_equal(joint, np.stack(single))
-    expected = spectral_distance(x, y, RATE)
-    real = metrics._erb_excitation
-    monkeypatch.setattr(metrics, "_erb_excitation",
-                        lambda signals, rate: np.stack(
-                            [real((s,), rate)[0] for s in signals]))
-    assert spectral_distance(x, y, RATE) == expected
+    assert _distance(x, x) == 0.0
+    assert _distance(x, y) >= 0.0
 
 
 def test_erb_excitation_equals_the_uncached_loop():
     # The cached weight rows give the excitation of building each row per
     # call, bit for bit, for a cached length and after another length
-    # replaced it.
-    def uncached(signals, sample_rate, f_lo=100.0, f_hi=8000.0,
+    # replaced it, for even and odd lengths.
+    def uncached(signal, sample_rate, f_lo=100.0, f_hi=8000.0,
                  step_erb=0.5):
-        x = np.stack([np.asarray(s, dtype=float).ravel() for s in signals])
-        n = x.shape[1]
-        psds = np.abs(np.fft.rfft(x, axis=1)) ** 2 / n ** 2
-        psds[:, 1:] *= 2.0
+        x = np.asarray(signal, dtype=float)
+        n = len(x)
+        x = x / np.sqrt(np.mean(np.square(x)))
+        psd = np.abs(np.fft.rfft(x)) ** 2 / n ** 2
+        psd[1:(n + 1) // 2] *= 2.0
         freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
         e_centers = np.arange(erb_number(f_lo), erb_number(f_hi) + 1e-9,
                               step_erb)
-        centers = erb_to_hz(e_centers)
-        excitation = np.empty((len(psds), len(centers)))
-        for i, fc in enumerate(centers):
+        excitation = []
+        for fc in erb_to_hz(e_centers):
             g = np.abs(freqs - fc) / erb_bandwidth(fc)
             p = 4.0 * g
             w = (1.0 + p) * np.exp(-p)
-            for j, psd in enumerate(psds):
-                excitation[j, i] = np.maximum((w * psd).sum(), 1e-30)
+            excitation.append(np.maximum((w * psd).sum(), 1e-30))
         return 10.0 * np.log10(excitation)
 
     x = speech_shaped_noise(0.5, RATE, seed=15)
     y = np.convolve(x, [1.0, 0.4, -0.3], mode="same")
-    for signals in ((x, y), (x, y), (x[:-7], y[:-7]), (x, y)):
-        assert np.array_equal(metrics._erb_excitation(signals, RATE),
-                              uncached(signals, RATE))
-    assert np.array_equal(metrics._erb_excitation((x,), 16000, f_hi=6000.0),
-                          uncached((x,), 16000, f_hi=6000.0))
+    for signal in (x, y, x[:-7], y[:-7], x):
+        assert np.array_equal(excitation_pattern(signal, RATE),
+                              uncached(signal, RATE))
+    assert np.array_equal(excitation_pattern(x, 16000, f_hi=6000.0),
+                          uncached(x, 16000, f_hi=6000.0))
+
+
+def test_excitation_pattern_counts_the_nyquist_bin_once():
+    """A one-sided spectrum doubles every bin but DC and an even length's
+    Nyquist bin, as the band powers do: unit-power tones at the Nyquist bin
+    and three bins below it excite the top filter alike, not 3 dB apart."""
+    rate, n = 16000, 16000
+    t = np.arange(n)
+    nyquist = np.cos(np.pi * t)
+    below = np.sqrt(2.0) * np.cos(2.0 * np.pi * (n // 2 - 3) * t / n)
+    for tone in (nyquist, below):
+        assert np.mean(np.square(tone)) == pytest.approx(1.0)
+    top = [excitation_pattern(tone, rate, f_hi=8000.0)[-1]
+           for tone in (nyquist, below)]
+    assert abs(top[0] - top[1]) < 0.1
+    # Band powers of the same tones: each carries its unit power.
+    grid = BandGrid(centers=[7000.0], edges=[6000.0, 8000.5])
+    for tone in (nyquist, below):
+        assert third_octave_analyze(tone, rate, grid)[0, 0] == pytest.approx(
+            1.0)
 
 
 def test_spectral_distance_level_invariance():
     x = speech_shaped_noise(1.0, RATE, seed=8)
-    assert spectral_distance(x, 2.0 * x, RATE) == pytest.approx(0.0, abs=1e-9)
+    assert _distance(x, 2.0 * x) == pytest.approx(0.0, abs=1e-9)
+    assert np.allclose(excitation_pattern(2.0 * x, RATE),
+                       excitation_pattern(x, RATE), rtol=0.0, atol=1e-12)
 
 
 def test_spectral_distance_grows_with_coloration():
@@ -423,12 +432,12 @@ def test_spectral_distance_grows_with_coloration():
                          * np.log10(np.maximum(freqs, 1.0) / 1000.0))
         return np.fft.irfft(spec * shape, len(sig))
 
-    d_small = spectral_distance(x, tilt(x, 3.0), RATE)
-    d_large = spectral_distance(x, tilt(x, 10.0), RATE)
+    d_small = _distance(x, tilt(x, 3.0))
+    d_large = _distance(x, tilt(x, 10.0))
     assert 0.0 < d_small < d_large
 
 
 def test_spectral_distance_rejects_silence():
     x = speech_shaped_noise(0.5, RATE, seed=8)
-    with pytest.raises(ValueError):
-        spectral_distance(x, np.zeros_like(x), RATE)
+    with pytest.raises(ValueError, match="silent"):
+        excitation_pattern(np.zeros_like(x), RATE)
