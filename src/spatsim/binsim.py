@@ -106,10 +106,23 @@ class ReceiverBank:
         the speaker sum of the driving `weights` at the source's 1/r gain
         and r/c delay."""
         dist = source.norm()
-        summed = np.tensordot(weights * (1.0 / dist), self.irs, axes=(0, 0))
+        return self._transmitted(
+            np.tensordot(weights * (1.0 / dist), self.irs, axes=(0, 0)), dist)
+
+    def speaker_irs(self, source: Position2D) -> np.ndarray:
+        """Each speaker's IR alone at the source's 1/r gain and r/c delay,
+        (n_speakers, n_channels, len): `weighted_ir` of each one-hot weight
+        vector, equal to it sample for sample, without summing the other
+        speakers' zero terms."""
+        dist = source.norm()
+        return self._transmitted((1.0 / dist) * self.irs, dist)
+
+    def _transmitted(self, irs: np.ndarray, dist: float) -> np.ndarray:
+        """`irs` delayed along their last axis by the travel time of
+        `dist` metres."""
         delay = dist / SPEED_OF_SOUND * self.set.sample_rate
-        return delay_signal(summed, delay,
-                            out_len=_delayed_len(summed.shape[1], delay))
+        return delay_signal(irs, delay,
+                            out_len=_delayed_len(irs.shape[-1], delay))
 
 
 def render_source(method: ReproductionMethod, bank: ReceiverBank,

@@ -329,13 +329,12 @@ class _Sweep:
     """Everything the units of a sweep share, built once before the workers
     fork, and only what the configured metrics use: the MVDR design, the
     algorithms, the cue lookup, the scene and the PLE probe signal, but no
-    rendered audio. `unit` measures a pose's free-field reference and a
-    cell by one body per metric.
+    rendered audio. `unit` measures one metric group of a pose's
+    free-field reference or of a cell, by one body per group.
 
-    A cell's bank holds the set's channels, so a set restricted to
-    `receiver_channels(config)` (as `run_sweep` passes it) gives banks over
-    only the channels the metrics read. The probe renders, in the reference
-    as in a cell, hold only the channels that PLE (both in-ear channels)
+    Each group renders over its own channels (`group_channels`): SNR over
+    the algorithms' channels and the calibration channel, beam over the
+    MVDR core's, and the probes over those that PLE (both in-ear channels)
     and spectral distance (`in_ear_L`) read.
 
     `map(call, args)` runs the set-up's parallel parts in argument order:
@@ -389,67 +388,68 @@ class _Sweep:
         if self.probe_channels:
             self.probe = speech_shaped_noise(1.0, config.sample_rate,
                                              seed=config.seed + 1)
+        # The metric groups to measure, in the order their units are handed
+        # out, and the receiver channels each renders.
+        self.group_channels = {}
+        if self.scene is not None:
+            self.group_channels["snr"] = self.snr_channels
+        if self.pattern_algorithm is not None:
+            self.group_channels["beam"] = self.pattern_algorithm.channels
+        if self.probe_channels:
+            self.group_channels["probes"] = self.probe_channels
 
-    def unit(self, method_name: str | None, count: int | None,
+    def unit(self, group: str, method_name: str | None, count: int | None,
              pose_offset: float) -> dict:
-        """The raw measurements of one cell, or with `method_name=None` of
-        the free-field reference at the pose, by (metric, algorithm), in
-        plain numpy values: the beam pattern, the SNR improvement per
-        algorithm, the fine azimuth per PLE target (NaN for none) and the
-        excitation pattern of each target's probe for spectral distance.
-        The top decides all that the two differ in: the beam pattern's
-        method and bank and the render of one source. Each probe is
-        rendered over `probe_channels` when the loop reaches it."""
+        """The raw measurements of one metric group (a key of
+        `group_channels`) of a cell, or with `method_name=None` of the
+        free-field reference at the pose, by (metric, algorithm), in plain
+        numpy values: "snr" the SNR improvement per algorithm, "beam" the
+        beam pattern, "probes" the fine azimuth per PLE target (NaN for
+        none) and the excitation pattern of each target's probe for
+        spectral distance.
+
+        The unit renders over its group's channels alone
+        (`group_channels`): a cell through one bank over them, the
+        reference in free field, whose beam pattern is the NSP pattern of a
+        ring with a speaker on every probe azimuth. Each probe is rendered
+        when the loop reaches it."""
         config, hrir_set = self.config, self.hrir_set
         listener = self.poses[pose_offset]
-        if method_name is None:
-            # The free-field pattern: NSP on a ring with a speaker on every
-            # probe azimuth, which renders each probe as its own loudspeaker.
-            method, bank = ReproductionMethod.NSP, None
-            if self.pattern_algorithm is not None:
-                bank = ReceiverBank(
-                    build_array(len(PATTERN_AZIMUTHS),
-                                radius=hrir_set.distance),
-                    hrir_set, listener, self.pattern_algorithm.channels)
-
-            def renderer(channels):
-                return functools.partial(render_reference, hrir_set=hrir_set,
-                                         listener=listener, channels=channels)
-        else:
+        channels = self.group_channels[group]
+        method, array = ReproductionMethod.NSP, None
+        if method_name is not None:
             method = ReproductionMethod(method_name)
-            # One bank over the set's channels for every metric of the
-            # cell; each renders only its own channels of it.
-            bank = ReceiverBank(build_array(count, radius=config.array_radius),
-                                hrir_set, listener, hrir_set.channels)
-
-            def renderer(channels):
-                return functools.partial(render_source, method,
-                                         bank.select(channels))
-        out = {}
-        if self.pattern_algorithm is not None:
-            out["beam", None] = beam_pattern(
+            array = build_array(count, radius=config.array_radius)
+        elif group == "beam":
+            array = build_array(len(PATTERN_AZIMUTHS), radius=hrir_set.distance)
+        if array is None:
+            render = functools.partial(render_reference, hrir_set=hrir_set,
+                                       listener=listener, channels=channels)
+        else:
+            bank = ReceiverBank(array, hrir_set, listener, channels)
+            render = functools.partial(render_source, method, bank)
+        if group == "beam":
+            return {("beam", None): beam_pattern(
                 self.pattern_algorithm, method, bank, self.grid,
-                probe_duration=config.pattern_probe_duration, seed=config.seed)
-        if self.scene is not None:
-            stems = render_scene_stems(self.scene, renderer(self.snr_channels),
-                                       self.snr_channels)
-            for name, alg in self.algorithms.items():
-                out["snr", name] = snr_improvement(
-                    alg, stems, self.grid, input_snrs=config.input_snrs)
-        if not self.probe_channels:
-            return out
-        row = (self.probe_channels.index(SPECTRAL_CHANNEL)
+                probe_duration=config.pattern_probe_duration,
+                seed=config.seed)}
+        if group == "snr":
+            stems = render_scene_stems(self.scene, render, channels)
+            return {("snr", name): snr_improvement(
+                alg, stems, self.grid, input_snrs=config.input_snrs)
+                for name, alg in self.algorithms.items()}
+        row = (channels.index(SPECTRAL_CHANNEL)
                if "spectral" in config.metrics else None)
         azimuths, patterns = [], []
-        render_probe = renderer(self.probe_channels)
         for azimuth in PLE_TARGET_AZIMUTHS:
-            buf = render_probe(VirtualSource(self.probe, Position2D.from_polar(
+            buf = render(VirtualSource(self.probe, Position2D.from_polar(
                 azimuth, config.array_radius)))
             if self.lookup is not None:
                 azimuths.append(localize(buf, self.lookup).fine_azimuth)
             if row is not None:
                 patterns.append(excitation_pattern(buf.samples[row],
                                                    buf.sample_rate))
+        out = {}
         if self.lookup is not None:
             out["ple", None] = np.array(azimuths, dtype=float)
         if row is not None:
@@ -508,13 +508,13 @@ def _pool_map(call, args, workers: int, handed_out=None) -> list:
 
 
 def _run_unit(sweep: _Sweep, unit: tuple) -> tuple:
-    """(measurements, None), or (None, traceback) for a cell that raised.
-    A failed reference raises: no cell of its pose can be compared against
-    it."""
+    """(measurements, None), or (None, traceback) for a cell's unit that
+    raised. A failed reference unit raises: no cell of its pose can be
+    compared against it."""
     try:
         return sweep.unit(*unit), None
     except Exception:
-        if unit[0] is None:
+        if unit[1] is None:
             raise
         return None, traceback.format_exc(limit=3)
 
@@ -541,20 +541,26 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     only these channels, and one that lacks some of them fails at load,
     naming the channels and the directory.
 
-    Each pose's free-field reference and each cell is one unit of work,
-    which renders its own probes and returns the same measurements;
-    `workers` processes (default: `_default_workers()`) measure them,
-    forked after the shared set-up, and the errors are formed here in grid
-    order. The set-up's parallel parts (`_Sweep`: the cue lookup's columns
-    and the scene's source signals) run on such pools too, one per part,
-    before the units. Every pool returns its results in argument order, so
-    the result does not depend on `workers`.
+    A unit of work is one metric group (SNR; beam; the probes of PLE and
+    spectral distance) of a pose's free-field reference or of a cell; it
+    renders its own probes over its group's channels, and the reference's
+    units return the same measurements as the cells'. `workers` processes
+    (default: `_default_workers()`) measure them, forked after the shared
+    set-up, group by group, each pose's reference before its cells. Here
+    the units of each reference and each cell are merged and the errors
+    formed in grid order. `progress(cell)` is called as a cell's first unit
+    is handed out, once per cell, in grid order. The set-up's parallel
+    parts (`_Sweep`: the cue lookup's columns and the scene's source
+    signals) run on such pools too, one per part, before the units. Every
+    pool returns its results in argument order, so the result does not
+    depend on `workers`.
 
     Deterministic for a given config, which alone decides the surfaces
-    (`_surface_keys` per method and pose); cell failures are recorded and
-    leave NaNs in the affected surfaces instead of aborting the run, except
-    a failed reference, which aborts it. A failed MVDR design leaves NaNs
-    in the beamformer's SNR surfaces and the beam surfaces.
+    (`_surface_keys` per method and pose). A cell whose unit fails is
+    recorded once in `failures` and leaves NaNs in all its surfaces instead
+    of aborting the run; a failed reference unit aborts it. A failed MVDR
+    design leaves NaNs in the beamformer's SNR surfaces and the beam
+    surfaces.
     """
     if workers is None:
         workers = _default_workers()
@@ -567,19 +573,29 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
         hrir_set = hrir_set.select(receiver_channels(config))
     sweep = _Sweep(config, hrir_set,
                    functools.partial(_pool_map, workers=workers))
-    units = []
-    for offset in config.pose_offsets:
-        units.append((None, None, offset))
-        units += [(method_name, count, offset)
-                  for method_name in config.methods
-                  for count in config.speaker_counts]
+    # Group by group, the longest first (SNR, beam, probes), each pose's
+    # reference and then its cells in grid order.
+    units = [(group, method_name, count, offset)
+             for group in sweep.group_channels
+             for offset in config.pose_offsets
+             for method_name, count in [(None, None)] + [
+                 (method_name, count) for method_name in config.methods
+                 for count in config.speaker_counts]]
 
     def handed_out(unit):
-        if progress is not None and unit[0] is not None:
-            progress(unit)
+        # A cell's first unit is in the first group.
+        if progress is not None and unit[1] is not None and (
+                unit[0] == units[0][0]):
+            progress(unit[1:])
 
-    results = dict(zip(units, _pool_map(functools.partial(_run_unit, sweep),
-                                        units, workers, handed_out)))
+    # Each reference's and each cell's measurements, merged over its
+    # groups; a cell keeps the first error of its units.
+    measured, errors = {}, {}
+    for unit, (values, error) in zip(units, _pool_map(
+            functools.partial(_run_unit, sweep), units, workers, handed_out)):
+        measured.setdefault(unit[1:], {}).update(values or {})
+        if error is not None:
+            errors.setdefault(unit[1:], error)
 
     n_counts = len(config.speaker_counts)
     n_bands = len(sweep.grid)
@@ -587,7 +603,7 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
     failures = list(sweep.failures)
     ple_cells = {}
     for pose_offset in config.pose_offsets:
-        ref, _ = results[(None, None, pose_offset)]
+        ref = measured.get((None, None, pose_offset), {})
         for method_name in config.methods:
             row = {}
             for metric, algorithm in _surface_keys(config):
@@ -601,12 +617,11 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
                                    np.nan))
             for i, count in enumerate(config.speaker_counts):
                 cell = (method_name, count, pose_offset)
-                test, error = results[cell]
-                if error is not None:
-                    failures.append((cell, error))
+                if cell in errors:
+                    failures.append((cell, errors[cell]))
                     continue
-                for key, measured in test.items():
-                    value = _ERRORS[key[0]](ref[key], measured)
+                for key, test in measured.get(cell, {}).items():
+                    value = _ERRORS[key[0]](ref[key], test)
                     if isinstance(value, PleCell):
                         ple_cells[cell] = value
                         value = value.value

@@ -7,6 +7,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from .binsim import AudioBuffer, RenderOutput, noise_scale, ReceiverBank
@@ -57,12 +58,71 @@ def make_third_octave_grid(f_min: float = 100.0,
     return BandGrid(centers=centers, edges=edges)
 
 
+# Signal lengths whose largest prime factor exceeds this take the chirp-z
+# zoom in `_band_span`. At or below it `np.fft.rfft`'s mixed-radix passes
+# are as fast or faster; well above it rfft falls back to a Bluestein
+# transform of at least twice the length and the zoom is 2-4 times faster
+# (crossover table in CHANGES.md).
+_ZOOM_MIN_PRIME = 400
+
+
+@functools.lru_cache(maxsize=16)
+def _largest_prime_factor(n: int) -> int:
+    factor, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            factor, n = p, n // p
+        p += 1
+    return max(factor, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _zoom_chirps(n: int, lo: int, m: int) -> tuple:
+    """The pre-chirp, the FFT of the chirp filter and the post-chirp that
+    zoom onto DFT bins lo:lo + m of an `n`-sample signal (Bluestein): with
+    jk = (j^2 + k^2 - (k - j)^2) / 2, bin lo + k is the post-chirp times the
+    convolution of the pre-chirped signal with the filter exp(i pi d^2 / n).
+    Every phase pi t / n is reduced to t mod 2n in integers before the
+    exponential, so no large argument loses precision."""
+    def chirp(t, sign):
+        return np.exp(sign * 1j * np.pi * (t % (2 * n)) / n)
+
+    j = np.arange(n, dtype=np.int64)
+    d = np.arange(1 - n, m, dtype=np.int64)
+    filt = np.zeros(scipy.fft.next_fast_len(n + m - 1), dtype=complex)
+    filt[d % len(filt)] = chirp(d * d, 1.0)
+    return (chirp(j * (j + 2 * lo), -1.0), scipy.fft.fft(filt),
+            chirp(j[:m] * j[:m], -1.0))
+
+
+def _zoom(x: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """DFT bins lo:lo + m of each row of `x` by the exact chirp-z zoom, one
+    row at a time (a row's bins do not depend on the other rows)."""
+    pre, filt, post = _zoom_chirps(x.shape[-1], lo, m)
+    out = np.empty((x.shape[0], m), dtype=complex)
+    for row, signal in zip(out, x):
+        y = scipy.fft.fft(signal * pre, len(filt), overwrite_x=True)
+        y *= filt
+        row[:] = scipy.fft.ifft(y, overwrite_x=True)[:m]
+        row *= post
+    return out
+
+
 def _band_span(x: np.ndarray, sample_rate: int, grid: BandGrid) -> tuple:
     """The rfft bins of the rows of `x` that the grid's bands cover, the
-    bin bounds (band b holds bins bounds[b]:bounds[b + 1]) and the length."""
+    bin bounds (band b holds bins bounds[b]:bounds[b + 1]) and the length.
+
+    A length with a prime factor above `_ZOOM_MIN_PRIME`, such as a scene
+    stem of 101,514 = 2 * 3 * 7 * 2417 samples, gets the span's bins from
+    the chirp-z zoom (`_zoom`), which convolves at a fast FFT length near
+    the length plus the span; they equal rfft's to round-off. Other lengths
+    take `np.fft.rfft`."""
     n = x.shape[-1]
     bounds = np.searchsorted(np.fft.rfftfreq(n, 1.0 / sample_rate), grid.edges)
-    return np.fft.rfft(x, axis=-1)[..., bounds[0]:bounds[-1]], bounds, n
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    if _largest_prime_factor(n) > _ZOOM_MIN_PRIME:
+        return _zoom(x, lo, hi - lo), bounds, n
+    return np.fft.rfft(x, axis=-1)[..., lo:hi], bounds, n
 
 
 def _doubled_bins(n: int, lo: int = 0) -> slice:
@@ -124,10 +184,10 @@ def beam_pattern(algorithm, method, bank: ReceiverBank, grid: BandGrid,
     mix = np.array([method_weights(method, bank.array, p) for p in probes])
     ref_idx = list(algorithm.reference_channel_indices)
     spectra = ([], [])      # input and output, (speaker, channel, bin)
-    for s in np.eye(bank.array.count):
-        # Speaker s alone, at the probes' shared delay and attenuation.
-        rendered = AudioBuffer(bank.set.sample_rate, fftconvolve(
-            probe[None, :], bank.weighted_ir(s, probes[0]), axes=1))
+    # Each speaker alone, at the probes' shared delay and attenuation.
+    for ir in bank.speaker_irs(probes[0]):
+        rendered = AudioBuffer(bank.set.sample_rate,
+                               fftconvolve(probe[None, :], ir, axes=1))
         for out, x in zip(spectra, (rendered.samples[ref_idx],
                                     algorithm.process(rendered).samples)):
             span, bounds, n = _band_span(x, rendered.sample_rate, grid)

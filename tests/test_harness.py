@@ -388,6 +388,15 @@ def _small_ple(monkeypatch):
     return targets
 
 
+def _measure(sweep, method, count, pose):
+    """The units of every metric group of one cell (`method=None`: of the
+    pose's reference), merged as `run_sweep` merges them."""
+    out = {}
+    for group in sweep.group_channels:
+        out.update(sweep.unit(group, method, count, pose))
+    return out
+
+
 # One PLE cell at the centre; with _small_ple, a quick PLE sweep.
 PLE_QUICK = SweepConfig.desk_scale(
     speaker_counts=(8,), pose_offsets=(0.0,), methods=("nsp",),
@@ -444,12 +453,12 @@ def test_algorithms_run_at_the_sweep_sample_rate():
 
 
 def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
-    """A cell's unit renders every metric through one bank; its raw
-    measurements equal those of banks built for each metric's own
-    channels. The reference unit's equal those measured directly in free
-    field: the probe ring's pattern, the SNR of `render_reference` stems
-    and the localization and excitation patterns of the free-field probe
-    renders."""
+    """Each metric group's unit of a cell renders through one bank over the
+    group's channels; its raw measurements equal those of banks built for
+    each metric's own channels. The reference's units equal those measured
+    directly in free field: the probe ring's pattern, the SNR of
+    `render_reference` stems and the localization and excitation patterns
+    of the free-field probe renders."""
     _small_ple(monkeypatch)
     config = SweepConfig.desk_scale(
         speaker_counts=(6,), pose_offsets=(0.5,), methods=("vbap",),
@@ -459,7 +468,7 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     grid = config.band_grid()
     sweep = harness._Sweep(config, hrir_set)
     core = sweep.pattern_algorithm
-    ref = sweep.unit(None, None, 0.5)
+    ref = _measure(sweep, None, None, 0.5)
     built = []
     real_init = harness.ReceiverBank.__init__
 
@@ -469,9 +478,10 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness.ReceiverBank, "__init__", counting_init)
-        test = sweep.unit("vbap", 6, 0.5)
-    assert built == [hrir_set.channels]
-    assert list(test) == list(ref) == harness._surface_keys(config)
+        test = _measure(sweep, "vbap", 6, 0.5)
+    assert list(sweep.group_channels) == ["snr", "beam", "probes"]
+    assert built == list(sweep.group_channels.values())
+    assert set(test) == set(ref) == set(harness._surface_keys(config))
 
     method = harness.ReproductionMethod.VBAP
     array = harness.build_array(6, radius=config.array_radius)
@@ -572,7 +582,7 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
     assert len(restricted.channels) < len(hrir_set.channels)
     full, sweep = (harness._Sweep(config, hs) for hs in (hrir_set, restricted))
     for unit in ((None, None, 0.5), ("vbap", 6, 0.5)):
-        want, got = full.unit(*unit), sweep.unit(*unit)
+        want, got = _measure(full, *unit), _measure(sweep, *unit)
         assert list(got) == list(want) != []
         for key, value in want.items():
             assert np.array_equal(got[key], value, equal_nan=True), key
@@ -674,7 +684,7 @@ def test_units_render_their_free_field_probes(hrir_set, monkeypatch,
     for unit, channels in (((None, None, 0.5), reference),
                            (("vbap", 6, 0.5), cell)):
         rendered.clear()
-        sweep.unit(*unit)
+        _measure(sweep, *unit)
         assert rendered == channels * len(targets), unit
 
 
@@ -697,10 +707,10 @@ def test_spectral_distance_equals_the_level_matched_pair_formula(
     pose = config.poses()[0]
     left = ReceiverBank(harness.build_array(12, radius=config.array_radius),
                         hrir_set, pose, ("in_ear_L",))
-    ref = sweep.unit(None, None, pose_offset)["spectral", None]
+    ref = sweep.unit("probes", None, None, pose_offset)["spectral", None]
     assert ref.shape[0] == len(targets)
     for method in config.methods:
-        test = sweep.unit(method, 12, pose_offset)["spectral", None]
+        test = sweep.unit("probes", method, 12, pose_offset)["spectral", None]
         distances = []
         for az in targets:
             src = VirtualSource(sweep.probe,
@@ -790,13 +800,13 @@ POOL_GRID = SweepConfig.desk_scale(
 
 @pytest.fixture(scope="module")
 def pool_runs(hrir_set, tmp_path_factory):
-    """POOL_GRID in this process and on two workers: the result, the
-    surfaces.csv bytes and the cells passed to `progress`, by worker
+    """POOL_GRID in this process and on two and three workers: the result,
+    the surfaces.csv bytes and the cells passed to `progress`, by worker
     count."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         _small_ple(mp)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             cells = []
             result = run_sweep(POOL_GRID, hrir_set=hrir_set,
                                progress=cells.append, workers=workers)
@@ -811,6 +821,7 @@ def test_pool_gives_the_surfaces_of_one_process(pool_runs):
                                                         pool_runs[2])
     assert serial.failures == [] and pooled.failures == []
     assert pooled_csv == serial_csv
+    assert pool_runs[3][0].failures == [] and pool_runs[3][1] == serial_csv
     for metric in harness.METRIC_NAMES:
         assert np.isfinite(serial.surface(metric, "hoa", 0.5, None if metric
                                           != "snr" else "adm").values).any()
@@ -831,18 +842,23 @@ def test_progress_once_per_cell_in_grid_order(pool_runs):
 
 
 def test_reference_and_cells_measure_the_same_keys(hrir_set, monkeypatch):
-    """Every metric is a raw measurement of each unit: the reference of
-    each pose and every cell return the same (metric, algorithm) keys,
-    those of the surfaces."""
+    """Every metric is a raw measurement of one metric group: each group's
+    unit of the reference of each pose and of every cell returns the same
+    (metric, algorithm) keys, and the union over a unit's groups is the
+    keys of the surfaces, each from one group."""
     _small_ple(monkeypatch)
     sweep = harness._Sweep(POOL_GRID, hrir_set)
     keys = harness._surface_keys(POOL_GRID)
     assert ("spectral", None) in keys
     for pose in POOL_GRID.pose_offsets:
-        assert list(sweep.unit(None, None, pose)) == keys, pose
+        ref = [list(sweep.unit(group, None, None, pose))
+               for group in sweep.group_channels]
+        merged = [key for group_keys in ref for key in group_keys]
+        assert len(merged) == len(keys) and set(merged) == set(keys), pose
         for method in POOL_GRID.methods:
             for count in POOL_GRID.speaker_counts:
-                assert list(sweep.unit(method, count, pose)) == keys
+                assert [list(sweep.unit(group, method, count, pose))
+                        for group in sweep.group_channels] == ref
 
 
 def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
@@ -866,6 +882,42 @@ def test_cell_failure_in_a_worker_is_recorded(hrir_set, monkeypatch):
     values = result.surface("spectral", "nsp", 0.0).values
     assert len(targets) == 3
     assert np.isfinite(values[[0, 2]]).all() and np.isnan(values[1])
+
+
+@pytest.mark.parametrize("group, channels", [
+    ("snr", (CALIBRATION_CHANNEL, "ha_L_front", "ha_L_rear")),
+    ("beam", BTE),
+    ("probes", CHANNELS_LOCALIZATION),
+])
+def test_cell_failing_in_one_group_fails_all_its_surfaces(
+        hrir_set, monkeypatch, group, channels):
+    """A cell whose unit of one metric group raises in a worker is recorded
+    once in `failures`, and every surface of it stays NaN, also those of
+    its groups that measured; the other cell measures all of them."""
+    _small_ple(monkeypatch)
+    real_bank = harness.ReceiverBank
+
+    def failing_bank(array, hs, listener, bank_channels):
+        if array.count == 8 and tuple(bank_channels) == channels:
+            raise RuntimeError(f"no {group} bank in process {os.getpid()}")
+        return real_bank(array, hs, listener, bank_channels)
+
+    monkeypatch.setattr(harness, "ReceiverBank", failing_bank)
+    config = SweepConfig.desk_scale(
+        speaker_counts=(4, 8), pose_offsets=(0.5,), methods=("nsp",),
+        algorithms=("adm", "single_nr"), metrics=harness.METRIC_NAMES,
+        input_snrs=(-5.0, 5.0), scene_duration=0.5, n_noise_sources=3,
+        pattern_probe_duration=0.1)
+    result = run_sweep(config, hrir_set=hrir_set, workers=2)
+    assert [cell for cell, _ in result.failures] == [("nsp", 8, 0.5)]
+    message = result.failures[0][1].splitlines()[-1]
+    assert message.startswith(f"RuntimeError: no {group} bank in process ")
+    assert int(message.split()[-1]) != os.getpid()
+    assert len(result.surfaces) == len(harness._surface_keys(config))
+    for surface in result.surfaces:
+        assert np.isnan(surface.values[1]).all(), surface.key()
+        assert np.isfinite(surface.values[0]).any(), surface.key()
+    assert list(result.ple_cells) == [("nsp", 4, 0.5)]
 
 
 # One spectral cell at the centre, no cue lookup: only the reference

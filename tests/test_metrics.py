@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spatsim.dsp import erb_bandwidth, erb_number, erb_to_hz
 from spatsim.binsim import ReceiverBank, SceneSpec, VirtualSource, noise_scale
@@ -9,6 +12,7 @@ from spatsim.haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
                             SingleChannelNoiseReduction,
                             SpectralGainAlgorithm)
 from spatsim.hrir import CHANNELS_BEAMFORMER
+import spatsim.metrics as metrics
 from spatsim.metrics import (BEAM_PATTERN_FLOOR_DB, BandGrid,
                              NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
                              beam_error, beam_pattern, excitation_pattern,
@@ -128,6 +132,111 @@ def test_band_analysis_matches_mask_oracle():
     assert np.allclose(third_octave_analyze(x, 16000, grid),
                        _band_powers_by_mask(x, 16000, grid),
                        rtol=1e-13, atol=0.0)
+
+
+# The chirp-z zoom of `_band_span`: lengths with a prime factor above
+# `_ZOOM_MIN_PRIME` (a prime; 2*3*7*2417 and 2*3*13*1301, scene stem
+# lengths; odd 3*5*7*967; the paper-scale stem 5*77899).
+ZOOM_LENGTHS = (101513, 101514, 101478, 101535, 389495)
+
+
+def _zoom_calls(x, rate, grid):
+    """`_band_span` of `x` and the number of chirp-z zooms it ran."""
+    with mock.patch.object(metrics, "_zoom", wraps=metrics._zoom) as zoom:
+        span = metrics._band_span(np.atleast_2d(x), rate, grid)
+    return span, zoom.call_count
+
+
+def _assert_bins_match_rfft(x, rate, grid):
+    (span, bounds, n), _ = _zoom_calls(x, rate, grid)
+    expected = np.fft.rfft(x, axis=-1)[:, bounds[0]:bounds[-1]]
+    assert span.shape == expected.shape
+    peak = np.abs(expected).max(axis=1, keepdims=True, initial=0.0)
+    assert np.all(np.abs(span - expected) <= 1e-13 * peak)
+
+
+@pytest.mark.parametrize("n", ZOOM_LENGTHS)
+@pytest.mark.parametrize("rows", [1, 2])
+def test_zoom_bins_equal_rfft_bins(n, rows):
+    rng = np.random.default_rng(n + rows)
+    x = rng.standard_normal((rows, n))
+    assert metrics._largest_prime_factor(n) > metrics._ZOOM_MIN_PRIME
+    _assert_bins_match_rfft(x, RATE, make_third_octave_grid())
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_zoom_reaches_the_nyquist_bin(rows):
+    # At 16 kHz the top edge of the 100-8000 Hz grid lies above Nyquist:
+    # the span ends at the last rfft bin, of an odd and an even length.
+    grid = make_third_octave_grid(100.0, 8000.0)
+    rng = np.random.default_rng(rows)
+    for n in (16001, 2 * 8009):
+        x = rng.standard_normal((rows, n))
+        (_, bounds, _), zooms = _zoom_calls(x, 16000, grid)
+        assert zooms == 1 and bounds[-1] == n // 2 + 1
+        _assert_bins_match_rfft(x, 16000, grid)
+
+
+def test_zoom_band_powers_of_a_stem_equal_the_mask_oracle():
+    # A speech-shaped stem of a scene-stem length with a silent onset.
+    grid = make_third_octave_grid()
+    x = speech_shaped_noise(3.0, RATE, seed=7)[:101514]
+    x[:400] = 0.0
+    x = np.vstack([x, 0.5 * x[::-1]])
+    _, zooms = _zoom_calls(x, RATE, grid)
+    assert zooms == 1
+    got = third_octave_analyze(x, RATE, grid)
+    expected = _band_powers_by_mask(x, RATE, grid)
+    assert np.abs(10.0 * np.log10(got / expected)).max() <= 1e-9
+
+
+def test_band_analysis_parseval_at_a_prime_length():
+    # A signal with no power outside a full-range grid: its band powers sum
+    # to its mean square, through the zoom.
+    grid = make_third_octave_grid(10.0, 20000.0)
+    n = 96001
+    x = white_noise(2.0, RATE, seed=5)[:n]
+    spec = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(n, 1.0 / RATE)
+    spec[(freqs < grid.edges[0]) | (freqs >= grid.edges[-1])] = 0.0
+    x = np.fft.irfft(spec, n)
+    _, zooms = _zoom_calls(x, RATE, grid)
+    assert zooms == 1
+    band_sum = third_octave_analyze(x, RATE, grid)[0].sum()
+    assert band_sum == pytest.approx(np.mean(x ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, zoomed", [(101380, False), (53380, False),
+                                       (101376, False), (101514, True),
+                                       (389495, True)])
+def test_zoom_only_where_a_prime_factor_is_large(n, zoomed):
+    # The free-field stems (101,380 = 2^2*5*37*137) and the beam probes
+    # (53,380 = 2^2*5*17*157) keep the mixed-radix rfft.
+    _, zooms = _zoom_calls(np.ones((1, n)), RATE,
+                                   make_third_octave_grid())
+    assert zooms == int(zoomed)
+
+
+# Lengths p * k with k <= 40: the largest prime factor is p, so the route
+# is known; primes on both sides of _ZOOM_MIN_PRIME.
+_ROUTE_PRIMES = (2, 3, 5, 37, 137, 157, 397, 401, 409, 967, 1301, 2417, 7919)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(_ROUTE_PRIMES), k=st.integers(1, 40),
+       rows=st.integers(1, 2), rate=st.sampled_from([16000, 48000]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p=2, k=1, rows=1, rate=48000, seed=0)   # no bin in the grid
+def test_band_span_equals_rfft_on_both_routes(p, k, rows, rate, seed):
+    n = p * k
+    x = np.random.default_rng(seed).standard_normal((rows, n))
+    grid = make_third_octave_grid(100.0, 8000.0)
+    _, zooms = _zoom_calls(x, rate, grid)
+    assert zooms == int(p > metrics._ZOOM_MIN_PRIME)
+    _assert_bins_match_rfft(x, rate, grid)
+    assert np.allclose(third_octave_analyze(x, rate, grid),
+                       _band_powers_by_mask(x, rate, grid),
+                       rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +455,37 @@ def test_beam_pattern_equals_the_per_azimuth_renders(hrir_set, mvdr_design,
         assert got.shape == (len(PATTERN_AZIMUTHS), len(grid))
         assert np.abs(got - expected).max() <= 1e-9, (
             oracle_method, bank.array.count)
+
+
+def _one_hot_speaker_irs(bank, source):
+    """Each speaker's IR as `weighted_ir` of a one-hot weight vector."""
+    return np.stack([bank.weighted_ir(s, source)
+                     for s in np.eye(bank.array.count)])
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_beam_pattern_equals_the_one_hot_speaker_sum(hrir_set, mvdr_design,
+                                                     shift, monkeypatch):
+    # Each speaker's IR taken alone gives the pattern bit for bit that
+    # summing all speakers with one-hot weights gave, for the free-field
+    # probe ring and an N = 12 array.
+    pose = Position2D(0.0, shift)
+    grid = make_third_octave_grid()
+    core = MvdrCoreBeamformer(mvdr_design)
+    for count, radius, method in ((72, hrir_set.distance,
+                                   ReproductionMethod.NSP),
+                                  (12, 3.0, ReproductionMethod.HOA)):
+        bank = ReceiverBank(build_array(count, radius), hrir_set, pose,
+                            CHANNELS_BEAMFORMER)
+        source = Position2D.from_polar(0.0, radius)
+        assert np.array_equal(bank.speaker_irs(source),
+                              _one_hot_speaker_irs(bank, source))
+        got = beam_pattern(core, method, bank, grid, probe_duration=0.1)
+        with monkeypatch.context() as patch:
+            patch.setattr(ReceiverBank, "speaker_irs", _one_hot_speaker_irs)
+            expected = beam_pattern(core, method, bank, grid,
+                                    probe_duration=0.1)
+        assert np.array_equal(got, expected), count
 
 
 # ---------------------------------------------------------------------------
