@@ -4,7 +4,7 @@ the ERB frequency scale."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import fftconvolve, sosfilt
 
 FRACTIONAL_DELAY_TAPS = 64
 
@@ -53,9 +53,10 @@ def one_pole_smooth(x: np.ndarray, tau: float, rate: float,
                     axis: int = -1) -> np.ndarray:
     """First-order low-pass y[n] = (1 - a) x[n] + a y[n-1] along `axis`,
     starting from rest, with a = exp(-1 / (tau * rate)) for a time constant
-    `tau` in seconds and `rate` samples (or frames) per second."""
+    `tau` in seconds and `rate` samples (or frames) per second; one
+    first-order `sosfilt` section."""
     alpha = float(np.exp(-1.0 / (tau * rate)))
-    return lfilter([1.0 - alpha], [1.0, -alpha], x, axis=axis)
+    return sosfilt([[1.0 - alpha, 0.0, 0.0, 1.0, -alpha, 0.0]], x, axis=axis)
 
 
 # Equivalent rectangular bandwidth scale (Glasberg & Moore, Hear. Res. 47,

@@ -8,7 +8,7 @@ speech surrogate, cafeteria-like babble noise).
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 
 from .binsim import SceneSpec, VirtualSource
 from .geometry import Position2D
@@ -66,11 +66,12 @@ def synthetic_speech(duration: float, sample_rate: int,
 
     # Syllables: active/pause gating with raised-cosine ramps, most active
     # syllables voiced, amplitudes gamma-distributed, each syllable filtered
-    # through its own random formant resonators (spectral sparsity).
+    # through its own random formant resonators (spectral sparsity). A
+    # resonator is one second-order `sosfilt` section.
     def resonator(fc, bw):
         r = np.exp(-np.pi * bw / sample_rate)
-        return [1.0 - r], [1.0, -2.0 * r * np.cos(2.0 * np.pi * fc
-                                                  / sample_rate), r * r]
+        return [1.0 - r, 0.0, 0.0,
+                1.0, -2.0 * r * np.cos(2.0 * np.pi * fc / sample_rate), r * r]
 
     x = np.zeros(n)
     ramp_len = int(0.02 * sample_rate)
@@ -83,24 +84,22 @@ def synthetic_speech(duration: float, sample_rate: int,
             amp = rng.gamma(shape=1.5, scale=0.7)
             is_voiced = rng.uniform() < 0.7
             if is_voiced:
-                seg = voiced[pos:end].copy()
                 formants = (rng.uniform(300.0, 900.0),
                             rng.uniform(900.0, 2500.0),
                             rng.uniform(2500.0, 3500.0))
-                for fc in formants:
-                    b, a = resonator(fc, 80.0 + fc / 15.0)
-                    seg = lfilter(b, a, seg)
+                seg = sosfilt([resonator(fc, 80.0 + fc / 15.0)
+                               for fc in formants], voiced[pos:end])
                 # Aspiration noise keeps a high-frequency floor under the
                 # formant rolloff.
-                asp = lfilter(*resonator(rng.uniform(3000.0, 6000.0), 2000.0),
+                asp = sosfilt([resonator(rng.uniform(3000.0, 6000.0), 2000.0)],
                               unvoiced[pos:end])
                 asp_rms = np.sqrt(np.mean(np.square(asp)))
                 seg_rms = np.sqrt(np.mean(np.square(seg)))
                 if asp_rms > 0.0:
                     seg += asp * (0.2 * seg_rms / asp_rms)
             else:                           # fricative burst
-                b, a = resonator(rng.uniform(2500.0, 6000.0), 2000.0)
-                seg = lfilter(b, a, unvoiced[pos:end])
+                fc = rng.uniform(2500.0, 6000.0)
+                seg = sosfilt([resonator(fc, 2000.0)], unvoiced[pos:end])
             rms = np.sqrt(np.mean(np.square(seg)))
             if rms > 0.0:
                 seg *= amp / rms

@@ -95,3 +95,10 @@ def spectral_distance_of_pair(ref, test, sample_rate, f_hi=8000.0):
                                                  mode="same")))
     d_slope = np.mean(np.abs(np.diff(diff)))
     return 0.02 * d_abs + 0.02 * d_ripple + 0.01 * d_slope
+
+
+def float_bits(y):
+    """The bit patterns of the real and the imaginary parts of `y`, so that
+    an equality test tells +0 from -0."""
+    y = np.asarray(y)
+    return np.stack([y.real.view(np.uint64), y.imag.view(np.uint64)])

@@ -1,8 +1,11 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from spatsim.dsp import delay_signal, fractional_delay_fir, one_pole_smooth
 from spatsim.stft import StftProcessor
+
+from conftest import float_bits
 
 
 def _recurrence(x, alpha):
@@ -25,6 +28,41 @@ def test_one_pole_smooth_matches_recurrence():
         assert np.array_equal(one_pole_smooth(x, tau, rate, axis=0), expected)
         assert np.array_equal(one_pole_smooth(x.T, tau, rate, axis=-1),
                               expected.T)
+
+
+def test_one_pole_smooth_equals_lfilter_bit_for_bit():
+    """The `sosfilt` section gives the bits of the first-order `lfilter`,
+    signed zeros included, along either axis. A complex part differs only
+    before its first nonzero input sample: there both outputs are exact
+    zeros, and for a -0 input the two set their signs differently."""
+    tau, rate = 0.005, 48000
+    alpha = float(np.exp(-1.0 / (tau * rate)))
+    rng = np.random.default_rng(5)
+
+    def with_signed_zeros(shape):
+        x = rng.standard_normal(shape)
+        x[:3] = -0.0
+        x[rng.uniform(size=shape) < 0.2] = 0.0
+        x[rng.uniform(size=shape) < 0.2] = -0.0
+        return x
+
+    real = with_signed_zeros((300, 7))
+    cplx = real.astype(complex)
+    cplx.imag = with_signed_zeros(real.shape)
+    for axis in (0, -1):
+        want = lfilter([1.0 - alpha], [1.0, -alpha], real, axis=axis)
+        got = one_pole_smooth(real, tau, rate, axis=axis)
+        assert got.dtype == want.dtype
+        assert np.array_equal(float_bits(got), float_bits(want))
+
+        want = lfilter([1.0 - alpha], [1.0, -alpha], cplx, axis=axis)
+        got = one_pole_smooth(cplx, tau, rate, axis=axis)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            onset = np.cumsum(part(cplx) != 0.0, axis=axis) > 0
+            assert np.array_equal(part(got).view(np.uint64)[onset],
+                                  part(want).view(np.uint64)[onset])
 
 
 def _overlap_add_loop(stft, spec, n_samples):

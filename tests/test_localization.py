@@ -2,8 +2,11 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from spatsim.binsim import AudioBuffer, VirtualSource, render_reference
+from spatsim.dsp import erb_bandwidth
 from spatsim.geometry import Position2D
 from spatsim.hrir import CHANNELS_LOCALIZATION
 import spatsim.harness as harness
@@ -12,6 +15,8 @@ from spatsim.harness import PleCell
 from spatsim.localization import (build_cue_lookup, extract_cues,
                                   gammatone_band, gammatone_centers, localize)
 from spatsim.signals import speech_shaped_noise, white_noise
+
+from conftest import float_bits
 
 RATE = 48000
 CENTER = Position2D(0.0, 0.0)
@@ -52,6 +57,59 @@ def test_gammatone_band_rejects_remote_frequency():
     x = np.sin(2.0 * np.pi * 4000.0 * t)
     env = np.abs(gammatone_band(x, fc, RATE)[RATE // 4:])
     assert env.mean() < 0.05
+
+
+def _gammatone_cascade(x, fc, rate):
+    """Oracle of `gammatone_band`: Hohmann's four one-pole complex
+    resonators as four `lfilter` passes along the last axis."""
+    b = 1.019 * erb_bandwidth(fc)
+    pole = np.exp(-2.0 * np.pi * b / rate + 2.0j * np.pi * fc / rate)
+    y = np.asarray(x, dtype=complex)
+    for _ in range(4):
+        y = lfilter([1.0], [1.0, -pole], y)
+    return 2.0 * (1.0 - np.abs(pole)) ** 4 * y
+
+
+@pytest.mark.parametrize("duration", [0.5, 1.0])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_gammatone_band_equals_the_four_pass_cascade(hrir_set, duration,
+                                                     offset):
+    """Over the probe renders of the cue lookup (0.5 s) and of the PLE
+    targets (1 s), centred and off centre, in every band, bit for bit
+    throughout: a render's leading zeros are +0."""
+    src = VirtualSource(speech_shaped_noise(duration, RATE, seed=23),
+                        Position2D.from_polar(35.0, hrir_set.distance))
+    x = render_reference(src, hrir_set, Position2D(0.0, offset),
+                         CHANNELS_LOCALIZATION).samples
+    for fc in gammatone_centers(localization.FINE_BAND_LO_HZ,
+                                localization.FINE_BAND_HI_HZ,
+                                localization.FINE_BAND_COUNT):
+        for y in (x, *x):
+            assert np.array_equal(float_bits(gammatone_band(y, fc, RATE)),
+                                  float_bits(_gammatone_cascade(y, fc, RATE)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fc=st.floats(100.0, 4000.0), n=st.integers(1, 5000),
+       rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_gammatone_band_cascade_property(fc, n, rows, seed):
+    """`gammatone_band` of an input and of each of its rows has the bits of
+    the four-pass cascade from the row's first nonzero sample on. Before it
+    both are exact zeros, and for a -0 input the two may differ in the sign
+    of such a zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n))
+    x[rng.uniform(size=x.shape) < 0.2] = -0.0
+    x[rng.uniform(size=x.shape) < 0.2] = 0.0
+    x[:, :rng.integers(n + 1)] = rng.choice([0.0, -0.0])    # leading zeros
+    for y in (x, *x):
+        want = _gammatone_cascade(y, fc, RATE)
+        got = gammatone_band(y, fc, RATE)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        onset = np.cumsum(y != 0.0, axis=-1) > 0
+        assert np.array_equal(float_bits(got)[:, onset],
+                              float_bits(want)[:, onset])
 
 
 def _full_band_cues(buffer):
