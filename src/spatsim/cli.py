@@ -14,10 +14,10 @@ import numpy as np
 
 from .binsim import ReceiverBank, VirtualSource, render_reference, render_source
 from .geometry import Position2D, build_array
-from .harness import (SweepConfig, contour_extract, criterion,
+from .haalgo import ALGORITHMS
+from .harness import (BANDED_METRICS, SweepConfig, contour_extract, criterion,
                       load_surfaces_csv, report, run_sweep, write_manifest,
-                      write_surfaces_csv, _ALGORITHM_CHANNELS,
-                      _make_algorithms)
+                      write_surfaces_csv, _make_algorithms)
 from .hrir import (CHANNELS, DEFAULT_HEAD_RADIUS, DEFAULT_SAMPLE_RATE,
                    save_hrir_set, synth_sphere_hrir)
 from .panner import ReproductionMethod
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contour", help="extract a criterion contour from a "
                                        "sweep CSV")
     p.add_argument("csv")
-    p.add_argument("--metric", default="beam", choices=["beam", "snr"])
+    p.add_argument("--metric", default="beam", choices=BANDED_METRICS)
     p.add_argument("--algorithm", default=None)
     p.add_argument("--method", required=True)
     p.add_argument("--pose", type=float, default=0.0)
@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--algorithm", default=None,
-                   choices=["beamformer", "adm", "coherence_nr"],
+                   choices=[name for name, cls in ALGORITHMS.items()
+                            if not cls.oracle],
                    help="process the rendering with a hearing aid algorithm")
     p.add_argument("--channels", nargs="+", default=["in_ear_L", "in_ear_R"],
                    choices=list(CHANNELS))
@@ -168,7 +169,8 @@ def _cmd_render(args) -> int:
     from scipy.io import wavfile
 
     # Only the rendered channels are synthesized: the algorithm's, if any.
-    channels = _ALGORITHM_CHANNELS.get(args.algorithm, tuple(args.channels))
+    channels = (ALGORITHMS[args.algorithm].channels if args.algorithm
+                else tuple(args.channels))
     hrir_set = synth_sphere_hrir(distance=args.distance, channels=channels)
     listener = Position2D(0.0, args.pose)
     signal = synthetic_speech(args.duration, hrir_set.sample_rate,

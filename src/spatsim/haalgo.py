@@ -20,7 +20,7 @@ from scipy.special import ive
 from .binsim import AudioBuffer, RenderOutput
 from .dsp import one_pole_smooth
 from .hrir import (CHANNELS_ADM, CHANNELS_BEAMFORMER, CHANNELS_BINAURAL_NR,
-                   CHANNELS_SINGLE_NR, HrirSet)
+                   CHANNELS_SINGLE_NR, HrirSet, MicLayout)
 from .panner import SPEED_OF_SOUND
 from .stft import StftProcessor
 
@@ -34,6 +34,8 @@ class SpectralGainAlgorithm:
 
     channels: tuple
     name: str
+    # An oracle algorithm reads the noise stem, so only `shadow` runs it.
+    oracle = False
 
     def __init__(self, stft: StftProcessor | None = None):
         self.stft = stft or StftProcessor()
@@ -62,6 +64,8 @@ class SpectralGainAlgorithm:
                                                 n_samples))
 
     def process(self, buf: AudioBuffer) -> AudioBuffer:
+        if self.oracle:
+            raise TypeError("oracle algorithm: use shadow")
         if buf.channels != len(self.channels):
             raise ValueError(
                 f"{self.name} expects {len(self.channels)} channels, "
@@ -260,8 +264,8 @@ class AdaptiveDifferentialMic(SpectralGainAlgorithm):
     channels = CHANNELS_ADM
     name = "adm"
 
-    def __init__(self, mic_spacing: float, stft: StftProcessor | None = None,
-                 step: float = 0.05):
+    def __init__(self, mic_spacing: float = MicLayout().bte_pair_spacing,
+                 stft: StftProcessor | None = None, step: float = 0.05):
         super().__init__(stft)
         self.step = step
         freqs = self.stft.frequencies
@@ -360,11 +364,9 @@ class SingleChannelNoiseReduction(SpectralGainAlgorithm):
 
     channels = CHANNELS_SINGLE_NR
     name = "single_nr"
+    oracle = True
     dd_alpha = 0.5              # decision-directed smoothing
     gain_floor = 0.01           # -40 dB
-
-    def process(self, buf: AudioBuffer) -> AudioBuffer:
-        raise TypeError("oracle algorithm: use shadow")
 
     def _operation(self, mix_spec: np.ndarray,
                    noise_spec: np.ndarray | None) -> np.ndarray:
@@ -405,3 +407,10 @@ def _stsa_gain(xi: np.ndarray, post: np.ndarray) -> np.ndarray:
     gain[~small] = (xi / (1.0 + xi))[~small]
     return gain
 
+
+# The sweep's algorithms by name, in the order they are configured by
+# default; each class declares the receiver channels it reads.
+ALGORITHMS = {cls.name: cls for cls in (
+    MvdrBeamformer, AdaptiveDifferentialMic, CoherenceNoiseReduction,
+    SingleChannelNoiseReduction)}
+ALGORITHM_NAMES = tuple(ALGORITHMS)

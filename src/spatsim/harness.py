@@ -17,6 +17,7 @@ from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -24,12 +25,10 @@ import yaml
 from .binsim import (CALIBRATION_CHANNEL, ReceiverBank, VirtualSource,
                      render_reference, render_scene_stems, render_source)
 from .geometry import Position2D, build_array
-from .haalgo import (AdaptiveDifferentialMic, CoherenceNoiseReduction,
-                     DesignError, MvdrBeamformer, MvdrCoreBeamformer,
-                     SingleChannelNoiseReduction, design_mvdr)
+from .haalgo import (ALGORITHM_NAMES, ALGORITHMS, DesignError, MvdrBeamformer,
+                     MvdrCoreBeamformer, design_mvdr)
 from .hrir import (CHANNELS, CHANNELS_LOCALIZATION, DEFAULT_HEAD_RADIUS,
-                   HrirSet, MicLayout, load_hrir_set,
-                   synth_sphere_hrir)
+                   HrirSet, load_hrir_set, synth_sphere_hrir)
 from .localization import PLE_TARGET_AZIMUTHS, build_cue_lookup, localize
 from .metrics import (BandGrid, NOMINAL_INPUT_SNRS, PATTERN_AZIMUTHS,
                       beam_error, beam_pattern, excitation_pattern,
@@ -42,12 +41,51 @@ from .stft import StftProcessor
 PAPER_SPEAKER_COUNTS = (4, 6, 8, 12, 18, 24, 36, 72)
 DESK_SPEAKER_COUNTS = (4, 8, 12, 24)
 POSE_OFFSETS = (0.0, 0.1, 0.5)
-ALGORITHM_NAMES = ("beamformer", "adm", "coherence_nr", "single_nr")
-METRIC_NAMES = ("beam", "snr", "ple", "spectral")
 # The config fields that list the grid's entries.
 _GRID_FIELDS = ("speaker_counts", "pose_offsets", "methods", "algorithms",
                 "metrics", "input_snrs")
 SCHEMA_VERSION = 1
+
+# The published error thresholds of the banded metrics, in dB.
+BEAM_CRITERION_DB = 5.7
+SNR_CRITERION_DB = {"beamformer": 0.75, "adm": 0.42, "coherence_nr": 0.42,
+                    "single_nr": 0.65}
+# The receiver channel that spectral distance compares.
+SPECTRAL_CHANNEL = "in_ear_L"
+
+
+@dataclass(frozen=True)
+class _Metric:
+    """What the sweep knows of one metric: the unit group that measures it
+    (`_Sweep.group_channels`), the receiver channels it reads, its error
+    from a reference's raw measurement and a cell's, and its criterion,
+    None for a scalar metric and per algorithm for SNR."""
+
+    group: str
+    channels: tuple
+    error: Callable
+    criterion: float | dict | None
+
+
+# SNR also reads each configured algorithm's channels (`ALGORITHMS`), and
+# calibrates its input SNRs on the calibration channel; beam reads the MVDR
+# core's. Spectral distance is the mean over the PLE targets.
+_METRICS = {
+    "beam": _Metric("beam", MvdrCoreBeamformer.channels, beam_error,
+                    BEAM_CRITERION_DB),
+    "snr": _Metric("snr", (CALIBRATION_CHANNEL,), snr_error,
+                   SNR_CRITERION_DB),
+    "ple": _Metric("probes", CHANNELS_LOCALIZATION,
+                   lambda ref, test: PleCell(test - ref), None),
+    "spectral": _Metric("probes", (SPECTRAL_CHANNEL,),
+                        lambda ref, test: float(np.mean(
+                            [spectral_distance(r, t)
+                             for r, t in zip(ref, test)])), None),
+}
+METRIC_NAMES = tuple(_METRICS)
+# The metrics with a criterion, whose surfaces are over (N, band).
+BANDED_METRICS = tuple(name for name, metric in _METRICS.items()
+                       if metric.criterion is not None)
 
 
 @dataclass(frozen=True)
@@ -161,19 +199,12 @@ class SweepConfig:
         return [Position2D(0.0, off) for off in self.pose_offsets]
 
 
-# The published error thresholds of the banded metrics, in dB.
-BEAM_CRITERION_DB = 5.7
-SNR_CRITERION_DB = {"beamformer": 0.75, "adm": 0.42, "coherence_nr": 0.42,
-                    "single_nr": 0.65}
-
-
 def criterion(metric: str, algorithm: str | None = None) -> float:
     """The error threshold of a banded metric, per algorithm for SNR."""
-    if metric == "beam":
-        return BEAM_CRITERION_DB
-    if metric == "snr":
-        return SNR_CRITERION_DB[algorithm]
-    raise KeyError(f"no criterion for metric {metric!r}")
+    threshold = _METRICS[metric].criterion
+    if threshold is None:
+        raise KeyError(f"no criterion for metric {metric!r}")
+    return threshold[algorithm] if isinstance(threshold, dict) else threshold
 
 
 @dataclass
@@ -232,40 +263,19 @@ class SweepResult:
         raise KeyError((metric, method, pose_offset, algorithm))
 
 
-# The receiver channel that spectral distance compares.
-SPECTRAL_CHANNEL = "in_ear_L"
-# The receiver channels each metric reads. SNR reads each configured
-# algorithm's channels too, and calibrates its input SNRs on the
-# calibration channel.
-_METRIC_CHANNELS = {
-    "beam": MvdrCoreBeamformer.channels,
-    "snr": (CALIBRATION_CHANNEL,),
-    "ple": CHANNELS_LOCALIZATION,
-    "spectral": (SPECTRAL_CHANNEL,),
-}
-_ALGORITHM_CHANNELS = {
-    "beamformer": MvdrBeamformer.channels,
-    "adm": AdaptiveDifferentialMic.channels,
-    "coherence_nr": CoherenceNoiseReduction.channels,
-    "single_nr": SingleChannelNoiseReduction.channels,
-}
-
-
-def _channels_read(metrics, algorithms=()) -> tuple:
-    """The receiver channels that `metrics` and `algorithms` read, in
-    `CHANNELS` order."""
-    used = set().union(*(_METRIC_CHANNELS[m] for m in metrics),
-                       *(_ALGORITHM_CHANNELS[a] for a in algorithms))
+def _channels_read(metrics, algorithms) -> tuple:
+    """The receiver channels that `metrics` read (`_METRICS`), with
+    `algorithms`' channels where SNR is among them, in `CHANNELS` order."""
+    used = set().union(*(_METRICS[m].channels for m in metrics),
+                       *(ALGORITHMS[a].channels for a in algorithms
+                         if "snr" in metrics))
     return tuple(c for c in CHANNELS if c in used)
 
 
 def receiver_channels(config: SweepConfig) -> tuple:
     """The receiver channels the configured metrics read, in `CHANNELS`
-    order: beam the MVDR core's six BTE channels, SNR each configured
-    algorithm's channels and `in_ear_L`, PLE both in-ear channels, and
-    spectral distance `in_ear_L`, the one channel it compares."""
-    return _channels_read(config.metrics, config.algorithms
-                          if "snr" in config.metrics else ())
+    order, as `_METRICS` and `ALGORITHMS` declare them."""
+    return _channels_read(config.metrics, config.algorithms)
 
 
 def _load_hrirs(config: SweepConfig) -> HrirSet:
@@ -293,15 +303,8 @@ def _make_algorithms(hrir_set: HrirSet, names, design=None) -> dict:
             if design is None:
                 design = design_mvdr(hrir_set, stft=stft)
             algos[name] = MvdrBeamformer(design, stft=stft)
-        elif name == "adm":
-            algos[name] = AdaptiveDifferentialMic(
-                mic_spacing=MicLayout().bte_pair_spacing, stft=stft)
-        elif name == "coherence_nr":
-            algos[name] = CoherenceNoiseReduction(stft=stft)
-        elif name == "single_nr":
-            algos[name] = SingleChannelNoiseReduction(stft=stft)
         else:
-            raise ValueError(f"unknown algorithm {name!r}")
+            algos[name] = ALGORITHMS[name](stft=stft)
     return algos
 
 
@@ -314,17 +317,6 @@ def _surface_keys(config: SweepConfig) -> list:
                               else (None,))]
 
 
-# Per metric, a cell's error from its reference's raw measurement and its
-# own; spectral distance is the mean over the PLE targets.
-_ERRORS = {
-    "beam": beam_error,
-    "snr": snr_error,
-    "ple": lambda ref, test: PleCell(test - ref),
-    "spectral": lambda ref, test: float(np.mean(
-        [spectral_distance(r, t) for r, t in zip(ref, test)])),
-}
-
-
 class _Sweep:
     """Everything the units of a sweep share, built once before the workers
     fork, and only what the configured metrics use: the MVDR design, the
@@ -332,10 +324,9 @@ class _Sweep:
     rendered audio. `unit` measures one metric group of a pose's
     free-field reference or of a cell, by one body per group.
 
-    Each group renders over its own channels (`group_channels`): SNR over
-    the algorithms' channels and the calibration channel, beam over the
-    MVDR core's, and the probes over those that PLE (both in-ear channels)
-    and spectral distance (`in_ear_L`) read.
+    Each group renders over its own channels (`group_channels`): those
+    that its metrics read, as `_METRICS` declares them, and for SNR the
+    algorithms' channels too.
 
     `map(call, args)` runs the set-up's parallel parts in argument order:
     the cue lookup's columns and the scene's source signals. A pool's map
@@ -377,26 +368,21 @@ class _Sweep:
                                            map=map)
         self.scene = None
         if "snr" in metrics:
-            # The scene stems hold the algorithms' channels and the
-            # calibration channel.
-            self.snr_channels = _channels_read(("snr",), self.algorithms)
             self.scene = make_default_scene(
                 config.scene_duration, config.sample_rate,
                 n_noise=config.n_noise_sources, seed=config.seed, map=map)
-        self.probe_channels = _channels_read(
-            [m for m in metrics if m in ("ple", "spectral")])
-        if self.probe_channels:
+        # The metric groups to measure, in the order their units are handed
+        # out, and the receiver channels each renders; beam needs the design.
+        measurable = [m for m in metrics if m != "beam" or design is not None]
+        self.group_channels = {}
+        for group in ("snr", "beam", "probes"):
+            members = [m for m in measurable if _METRICS[m].group == group]
+            if members:
+                self.group_channels[group] = _channels_read(members,
+                                                            self.algorithms)
+        if "probes" in self.group_channels:
             self.probe = speech_shaped_noise(1.0, config.sample_rate,
                                              seed=config.seed + 1)
-        # The metric groups to measure, in the order their units are handed
-        # out, and the receiver channels each renders.
-        self.group_channels = {}
-        if self.scene is not None:
-            self.group_channels["snr"] = self.snr_channels
-        if self.pattern_algorithm is not None:
-            self.group_channels["beam"] = self.pattern_algorithm.channels
-        if self.probe_channels:
-            self.group_channels["probes"] = self.probe_channels
 
     def unit(self, group: str, method_name: str | None, count: int | None,
              pose_offset: float) -> dict:
@@ -535,11 +521,10 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
 
     The HRIR set (`hrir_set`, or the one `config.hrir_source` names, which
     the sphere model synthesizes over these channels alone) is restricted
-    to `receiver_channels(config)`: the six BTE channels for beam, each
-    algorithm's channels and `in_ear_L` for SNR, both in-ear channels for
-    PLE and `in_ear_L` for spectral distance. A saved set is read over
-    only these channels, and one that lacks some of them fails at load,
-    naming the channels and the directory.
+    to `receiver_channels(config)`, the channels that `_METRICS` and
+    `ALGORITHMS` declare for the configured metrics and algorithms. A saved
+    set is read over only these channels, and one that lacks some of them
+    fails at load, naming the channels and the directory.
 
     A unit of work is one metric group (SNR; beam; the probes of PLE and
     spectral distance) of a pose's free-field reference or of a cell; it
@@ -607,7 +592,7 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
         for method_name in config.methods:
             row = {}
             for metric, algorithm in _surface_keys(config):
-                banded = metric in ("beam", "snr")
+                banded = metric in BANDED_METRICS
                 row[metric, algorithm] = ErrorSurface(
                     metric=metric, method=method_name,
                     pose_offset=pose_offset, algorithm=algorithm,
@@ -621,7 +606,7 @@ def run_sweep(config: SweepConfig, hrir_set: HrirSet | None = None,
                     failures.append((cell, errors[cell]))
                     continue
                 for key, test in measured.get(cell, {}).items():
-                    value = _ERRORS[key[0]](ref[key], test)
+                    value = _METRICS[key[0]].error(ref[key], test)
                     if isinstance(value, PleCell):
                         ple_cells[cell] = value
                         value = value.value
@@ -778,7 +763,7 @@ def report(result: SweepResult) -> str:
     if not result.surfaces:
         return "\n".join(lines + ["no surfaces computed"])
     for surf in sorted(result.surfaces, key=lambda s: str(s.key())):
-        if surf.metric not in ("beam", "snr"):
+        if surf.band_centers is None:
             continue
         thr = criterion(surf.metric, surf.algorithm)
         bw = usable_bandwidth(surf, thr)

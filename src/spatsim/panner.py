@@ -116,7 +116,8 @@ def aliasing_limit(speaker_count: int, listening_radius: float) -> float:
 
 
 def speakers_for_bandwidth(frequency: float, listening_radius: float) -> int:
-    """Smallest even speaker count whose aliasing limit reaches `frequency`."""
-    n = 4.0 * math.pi * listening_radius * frequency / SPEED_OF_SOUND
-    count = max(4, math.ceil(n))
+    """Smallest even speaker count whose aliasing limit reaches `frequency`:
+    N - 1 >= 4 pi r f / c, as `aliasing_limit` uses N - 1 channels."""
+    n_min = 4.0 * math.pi * listening_radius * frequency / SPEED_OF_SOUND
+    count = max(4, math.ceil(n_min) + 1)
     return count if count % 2 == 0 else count + 1

@@ -158,6 +158,14 @@ def _adm_render(hrir_set, azimuth, seed, duration=0.5):
     return render_reference(src, hrir_set, CENTER, CHANNELS_ADM)
 
 
+def test_adm_defaults_to_the_bte_pair_spacing():
+    """Without a spacing, the ADM uses the BTE pair's, 1 cm."""
+    default, explicit = (AdaptiveDifferentialMic(),
+                         AdaptiveDifferentialMic(mic_spacing=0.01))
+    assert np.array_equal(default.phase, explicit.phase)
+    assert np.array_equal(default.eq, explicit.eq)
+
+
 def test_adm_cancels_rear_source(hrir_set):
     adm = AdaptiveDifferentialMic(mic_spacing=0.01)
     front = _adm_render(hrir_set, 0.0, seed=1)

@@ -208,6 +208,16 @@ def test_criterion_table_defaults():
     assert criterion("snr", "single_nr") == 0.65
     with pytest.raises(KeyError):
         criterion("ple")
+    with pytest.raises(KeyError):
+        criterion("spectral")
+
+
+def test_algorithm_and_criterion_tables_name_the_same_algorithms():
+    """Each algorithm is registered under the name its class declares, and
+    SNR has a criterion for exactly the registered algorithms."""
+    assert set(harness.SNR_CRITERION_DB) == set(harness.ALGORITHM_NAMES)
+    for name, cls in harness.ALGORITHMS.items():
+        assert cls.name == name
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +509,7 @@ def test_one_bank_per_cell_equals_a_bank_per_metric(hrir_set, monkeypatch):
     # The stems hold the channels of the ADM and the single-channel NR and
     # the calibration channel, in set order.
     snr_channels = (CALIBRATION_CHANNEL, "ha_L_front", "ha_L_rear")
-    assert sweep.snr_channels == snr_channels
+    assert sweep.group_channels["snr"] == snr_channels
     snr_bank = ReceiverBank(array, hrir_set, pose, snr_channels)
     renders = {
         "cell": (test, functools.partial(render_source, method, snr_bank)),
@@ -563,6 +573,31 @@ def test_receiver_channels_of_a_metric_mix():
     assert harness.receiver_channels(SweepConfig()) == CHANNELS
 
 
+@pytest.mark.parametrize("metrics, groups", [
+    (("beam",), {"beam": BTE}),
+    (("snr",), {"snr": ("in_ear_L",) + BTE}),
+    (("ple",), {"probes": CHANNELS_LOCALIZATION}),
+    (("spectral",), {"probes": ("in_ear_L",)}),
+    (("ple", "spectral"), {"probes": CHANNELS_LOCALIZATION}),
+    (("beam", "snr", "spectral"), {"snr": ("in_ear_L",) + BTE, "beam": BTE,
+                                   "probes": ("in_ear_L",)}),
+    (("spectral", "snr", "beam"), {"snr": ("in_ear_L",) + BTE, "beam": BTE,
+                                   "probes": ("in_ear_L",)}),
+])
+def test_group_channels_follow_the_metric_table(hrir_set, mvdr_design,
+                                                monkeypatch, metrics, groups):
+    """A sweep's metric groups and the channels each renders, in the order
+    their units are handed out (SNR, beam, probes) whatever the order of
+    the configured metrics."""
+    monkeypatch.setattr(harness, "design_mvdr", lambda hs: mvdr_design)
+    monkeypatch.setattr(harness, "build_cue_lookup",
+                        lambda hs, seed, map: object())
+    monkeypatch.setattr(harness, "make_default_scene",
+                        lambda *args, **kwargs: object())
+    sweep = harness._Sweep(SweepConfig.desk_scale(metrics=metrics), hrir_set)
+    assert list(sweep.group_channels.items()) == list(groups.items())
+
+
 @pytest.mark.parametrize("metrics", [("beam",), ("snr", "spectral"),
                                      ("ple", "spectral")])
 def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
@@ -589,13 +624,14 @@ def test_restricted_set_measures_like_the_full_set(hrir_set, monkeypatch,
     pose = config.poses()[0]
     left = ReceiverBank(harness.build_array(6, radius=config.array_radius),
                         hrir_set, pose, ("in_ear_L",))
-    rows = [CHANNELS_LOCALIZATION.index(c) for c in sweep.probe_channels]
+    probe_channels = sweep.group_channels.get("probes", ())
+    rows = [CHANNELS_LOCALIZATION.index(c) for c in probe_channels]
     patterns = []
-    for az in harness.PLE_TARGET_AZIMUTHS if sweep.probe_channels else ():
+    for az in harness.PLE_TARGET_AZIMUTHS if probe_channels else ():
         src = VirtualSource(sweep.probe,
                             Position2D.from_polar(az, config.array_radius))
         ref = harness.render_reference(src, restricted, pose,
-                                       sweep.probe_channels)
+                                       probe_channels)
         ears = harness.render_reference(src, hrir_set, pose,
                                         CHANNELS_LOCALIZATION)
         assert np.array_equal(ref.samples, ears.samples[rows])
@@ -680,7 +716,7 @@ def test_units_render_their_free_field_probes(hrir_set, monkeypatch,
         metrics=metrics)
     sweep = harness._Sweep(config, hrir_set.select(
         harness.receiver_channels(config)))
-    assert [sweep.probe_channels] == reference
+    assert [sweep.group_channels.get("probes", ())] == reference
     for unit, channels in (((None, None, 0.5), reference),
                            (("vbap", 6, 0.5), cell)):
         rendered.clear()
@@ -723,7 +759,7 @@ def test_spectral_distance_equals_the_level_matched_pair_formula(
                 free.samples[0], cell.samples[0], config.sample_rate))
         want = float(np.mean(distances))
         assert want > 1e-4
-        assert harness._ERRORS["spectral"](ref, test) == pytest.approx(
+        assert harness._METRICS["spectral"].error(ref, test) == pytest.approx(
             want, rel=1e-12, abs=0.0), method
 
 

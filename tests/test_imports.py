@@ -4,6 +4,8 @@ import runpy
 from collections import Counter
 from pathlib import Path
 
+from spatsim import haalgo
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "spatsim").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
@@ -96,3 +98,10 @@ def test_traced_names_resolve():
         if owner is None:
             missing.append(span)
     assert missing == []
+
+
+def test_traced_algorithms_are_the_registered_algorithms():
+    """The benchmark's per-algorithm shadow spans name the registered
+    algorithms, in registry order, so a new algorithm gets its span."""
+    tracer = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+    assert tracer["SHADOW_ALGORITHMS"] == tuple(haalgo.ALGORITHMS)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spatsim.geometry import Position2D, build_array
 from spatsim.panner import (ReproductionMethod, aliasing_limit, hoa_kernel,
@@ -120,6 +121,22 @@ def test_aliasing_limit_examples():
 
 def test_speakers_for_bandwidth():
     n = speakers_for_bandwidth(4000.0, 0.5875)
-    assert n == 88                       # ceil(86.1) rounded up to even
+    assert n == 88                       # ceil(87.1) rounded up to even
     assert n % 2 == 0
     assert aliasing_limit(n, 0.5875) >= 4000.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(radius=st.floats(0.0, 1.2), frequency=st.floats(50.0, 16000.0))
+# Pairs where solving N >= 4 pi r f / c instead of N - 1 >= 4 pi r f / c
+# gives a count whose aliasing limit falls short of f.
+@example(radius=0.0875, frequency=1000.0)
+@example(radius=0.1875, frequency=2000.0)
+def test_speakers_for_bandwidth_is_the_smallest_even_count(radius,
+                                                           frequency):
+    """The count's aliasing limit reaches the frequency, and the next
+    smaller even count's does not (or the count is the minimum, 4)."""
+    n = speakers_for_bandwidth(frequency, radius)
+    assert n % 2 == 0
+    assert aliasing_limit(n, radius) >= frequency
+    assert n == 4 or aliasing_limit(n - 2, radius) < frequency
